@@ -1,17 +1,20 @@
 """Finite-window analysis of the intermediate-series modules.
 
 A window is a symmetric slice {n*a : |n| <= bound} of a cyclic index
-group.  Within a window the engine computes exact submodule closures by
-iterated generator application plus reduced row echelon elimination,
-scans for reducibility, decomposes restrictions into cosets, checks
-shift intertwiners, recovers module parameters from abstract action
-tables, and aligns rescaled bases.
+group.  Within a window the engine computes exact submodule closures as
+the basis lines reachable from the seeds, scans for reducibility,
+decomposes restrictions into cosets, checks shift intertwiners, recovers
+module parameters from abstract action tables, and aligns rescaled
+bases.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
-reachability.  Since d(0) is always applied and acts diagonally with
-distinct eigenvalues, every closure stabilizes on a span of pure basis
-vectors, where the truncated and exact actions agree.
+reachability.  d(0) acts diagonally with the distinct eigenvalues
+alpha + q, so an invariant subspace is the span of the basis lines it
+meets.  A closure is therefore the span of the lines reachable from the
+seeds' supports along nonzero window actions, and on such a span the
+truncated and exact actions agree.  ``Subspace`` keeps exact reduced
+row echelon spans of arbitrary vectors.
 """
 
 from __future__ import annotations
@@ -117,13 +120,11 @@ class Subspace:
 
     def _reduce(self, entries):
         entries = {q: c for q, c in entries.items() if c != 0}
-        while entries:
-            lead = min(entries)
-            row = self._rows.get(lead)
-            if row is None:
-                return entries
-            c = entries[lead]
-            for q, v in row.items():
+        # each row is zero at every other pivot, so subtracting one row
+        # never brings back an entry at another pivot
+        for pivot in sorted(q for q in entries if q in self._rows):
+            c = entries[pivot]
+            for q, v in self._rows[pivot].items():
                 total = entries.get(q, 0) - c * v
                 if total == 0:
                     entries.pop(q, None)
@@ -179,34 +180,75 @@ class Subspace:
         return "Subspace(dim=%d, pivots=%s)" % (self.dimension, self.pivots())
 
 
-def _window_act_entries(params, key, entries, window):
-    """Generator action on a sparse row, truncated to the window."""
-    g = key.index
-    alpha, beta, f = params.alpha, params.beta, params.f
-    acc = {}
-    for h, c in entries.items():
-        t = g + h
-        if t not in window:
-            continue
-        w = (alpha + h + g * beta) if key.kind == "d" else f
-        if w:
-            acc[t] = c * w
-    return acc
-
-
-def closure(params, window, seeds):
-    """Smallest window-truncated invariant subspace containing the seeds.
-
-    Applies every d/I generator whose source and target both stay inside
-    the window, inserting images into an exact echelon basis until the
-    span stabilizes.
-    """
+def _require_window_inside(params, window):
     if not is_subgroup(window.group, params.group):
         raise GroupMismatchError(
             "window group %s is not inside the module group %s"
             % (window.group, params.group)
         )
-    sub = Subspace(params)
+
+
+def _adjacency(params, window):
+    """One-step reachability between window positions, one bitmask each.
+
+    Position n + bound holds the index q = n*step.  From q, I(t - q)
+    reaches every t when f != 0, and d(t - q) reaches t = m*step with
+    coefficient alpha + q + (t - q)*beta.  With beta = u/v in lowest
+    terms and k = -alpha*v/step that coefficient is
+    step/v * ((v - u)*n + u*m - k), so it never vanishes unless k is an
+    integer, and then it vanishes on at most one target m, or on all of
+    them when u == 0 and n == k.
+    """
+    bound = window.bound
+    full = (1 << window.size) - 1
+    rows = [full] * window.size
+    u, v = params.beta.numerator, params.beta.denominator
+    k = -params.alpha * v / window.step
+    if params.f or k.denominator != 1:
+        return rows
+    k = int(k)
+    for n in range(-bound, bound + 1):
+        rest = k - (v - u) * n
+        if u == 0:
+            if rest == 0:
+                rows[n + bound] = 0
+        elif rest % u == 0 and abs(rest // u) <= bound:
+            rows[n + bound] ^= 1 << (rest // u + bound)
+    return rows
+
+
+def _reach(adjacency, start):
+    """Bitmask of the positions reachable from the positions in ``start``."""
+    full = (1 << len(adjacency)) - 1
+    reached = frontier = start
+    while frontier and reached != full:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~reached
+        reached |= frontier
+    return reached
+
+
+def _lines(indices, mask):
+    return [q for i, q in enumerate(indices) if mask >> i & 1]
+
+
+def closure(params, window, seeds):
+    """Smallest window-truncated invariant subspace containing the seeds.
+
+    d(0) acts diagonally with the distinct eigenvalues alpha + q, so every
+    invariant subspace is the span of the basis lines it meets, and it
+    contains each basis line in the support of each seed.  The closure is
+    therefore the span of the lines reachable from the seeds' supports
+    along nonzero generator actions whose source and target both stay
+    inside the window; its echelon rows are those pure basis vectors.
+    """
+    _require_window_inside(params, window)
+    bound, step = window.bound, window.step
+    start = 0
     for seed in seeds:
         if isinstance(seed, WeightVector):
             if seed.params != params:
@@ -214,25 +256,14 @@ def closure(params, window, seeds):
             entries = seed.entries
         else:
             entries = {as_fraction(q): as_fraction(c) for q, c in dict(seed).items()}
-        for q in entries:
+        for q, c in entries.items():
             if q not in window:
                 raise ValueError("seed index %s lies outside the window" % q)
-        sub.insert(entries)
-    generators = []
-    for g in window.steps():
-        generators.append(d(g))
-        generators.append(I(g))
-    full = window.size
-    changed = True
-    while changed and sub.dimension < full:
-        changed = False
-        for row in sub.row_entries():
-            for key in generators:
-                image = _window_act_entries(params, key, row, window)
-                if image and sub.insert(image):
-                    changed = True
-                    if sub.dimension == full:
-                        return sub
+            if c:
+                start |= 1 << (int(q / step) + bound)
+    reached = _reach(_adjacency(params, window), start)
+    sub = Subspace(params)
+    sub._rows = {q: {q: Fraction(1)} for q in _lines(window.indices(), reached)}
     return sub
 
 
@@ -242,28 +273,33 @@ def scan_details(params, window):
     Returns ``(classification, dims, proper_pivots)`` where ``dims`` maps
     each window index to the dimension of the closure of its basis vector
     and ``proper_pivots`` lists the basis indices of the distinguished
-    proper closure when one exists.
+    proper closure when one exists.  Each closure is the set of basis
+    lines reachable from the seed (see :func:`closure`); the window's
+    reachability is built once and shared by all seeds.
     """
     if window.bound < 2:
         raise ValueError("scan windows need bound >= 2 to distinguish verdicts")
+    _require_window_inside(params, window)
+    indices = window.indices()
     size = window.size
+    adjacency = _adjacency(params, window)
     dims = {}
     trivial_seed = None
     codim_seed = None
     codim_pivots = None
     stray = None
-    for q in window.indices():
-        sub = closure(params, window, [basis_vector(params, q)])
-        dims[q] = sub.dimension
-        if sub.dimension == size:
+    for i, q in enumerate(indices):
+        reached = _reach(adjacency, 1 << i)
+        dim = dims[q] = reached.bit_count()
+        if dim == size:
             continue
-        if sub.dimension == 1:
+        if dim == 1:
             if trivial_seed is None:
                 trivial_seed = q
-        elif sub.dimension == size - 1 and sub.is_pure_basis():
+        elif dim == size - 1:
             if codim_seed is None:
                 codim_seed = q
-                codim_pivots = sub.pivots()
+                codim_pivots = _lines(indices, reached)
         else:
             stray = q
     if trivial_seed is not None:
@@ -412,11 +448,7 @@ def intermediate_series_table(params, window, scales=None):
     ``scales`` optionally rescales the basis: with u(q) = c(q) v(q) the
     entry coefficients become coeff * c(source) / c(target).
     """
-    if not is_subgroup(window.group, params.group):
-        raise GroupMismatchError(
-            "window group %s is not inside the module group %s"
-            % (window.group, params.group)
-        )
+    _require_window_inside(params, window)
     indices = window.indices()
     c = None
     if scales is not None:

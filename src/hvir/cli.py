@@ -17,7 +17,9 @@ import argparse
 import json
 import random
 import sys
+from bisect import bisect_right
 from itertools import combinations
+from math import comb
 
 from .algebra import (
     CD,
@@ -81,6 +83,30 @@ def _basis_keys(window):
     return keys
 
 
+def _sample_ranks(size, samples, seed):
+    """Ranks of ``samples`` distinct 3-subsets of range(size), drawn as
+    ``random.Random(seed).sample`` draws from the list of all of them."""
+    total = comb(size, 3)
+    return random.Random(seed).sample(range(total), min(samples, total))
+
+
+def _unrank_triple(rank, size):
+    """The 3-subset of range(size) at ``rank`` in the order of
+    ``itertools.combinations``.
+
+    Mirroring each element x to size-1-x turns that lexicographic order
+    into reversed colexicographic order, whose ranks are the combinatorial
+    number system: N = C(c3,3) + C(c2,2) + C(c1,1) with c3 > c2 > c1.
+    """
+    n = comb(size, 3) - 1 - rank
+    triple = []
+    for k in (3, 2, 1):
+        c = bisect_right(range(size), n, key=lambda x: comb(x, k)) - 1
+        n -= comb(c, k)
+        triple.append(size - 1 - c)
+    return triple
+
+
 def _cmd_jacobi(args):
     try:
         k_text, bound_text = args.window.split(":", 1)
@@ -91,10 +117,10 @@ def _cmd_jacobi(args):
     keys = _basis_keys(window)
     triples = combinations(keys, 3)
     if args.samples is not None:
-        rng = random.Random(args.seed)
-        pool = list(combinations(range(len(keys)), 3))
-        chosen = rng.sample(pool, min(args.samples, len(pool)))
-        triples = ((keys[i], keys[j], keys[l]) for i, j, l in chosen)
+        triples = (
+            tuple(keys[i] for i in _unrank_triple(rank, len(keys)))
+            for rank in _sample_ranks(len(keys), args.samples, args.seed)
+        )
     checked = 0
     for x, y, z in triples:
         value = jacobiator(x, y, z)

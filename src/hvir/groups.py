@@ -54,13 +54,40 @@ def as_fraction(value):
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _is_prime(n):
+    """Exact primality: strong-probable-prime tests below psi_13, trial
+    division above it."""
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
+    if isinstance(n, int) and n < _SPRP_EXACT_BELOW:
+        if n <= _SPRP_BASES[-1]:
+            return n in _SPRP_BASES
+        return all(_is_strong_probable_prime(n, a) for a in _SPRP_BASES)
     f = 3
     while f * f <= n:
         if n % f == 0:

@@ -1,14 +1,17 @@
 """Window engine: closure, scan, restriction, intertwiners, recovery."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hvir import (
     ActionTable,
     AmbiguousTableError,
     DisjointOverlapError,
     GroupMismatchError,
+    HvirError,
     I,
     ModuleParams,
     NonConstantScalingError,
@@ -38,7 +41,15 @@ from hvir import (
     supernatural,
     transported_table,
 )
-from helpers import rand_fraction, rand_nonzero_fraction, rand_params, rng
+from hvir.analysis import _adjacency
+from helpers import (
+    rand_fraction,
+    rand_nonzero_fraction,
+    rand_params,
+    reference_closure,
+    reference_scan,
+    rng,
+)
 
 F = Fraction
 Z = qk(0)
@@ -573,3 +584,116 @@ class TestSubquotientMap:
                     lhs = phi(project_quotient(act(source, key, vbar)))
                     rhs = act(target, key, phi(vbar))
                     assert lhs == rhs
+
+
+# Z, 1/2 Z, 1/6 Z and 3Z form a chain, so a module group drawn from the
+# list may contain the window group or miss it.
+ORACLE_GROUPS = [Z, cyclic(F(1, 2)), qk(3), cyclic(3)]
+small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def oracle_cases(draw):
+    window = Window(draw(st.sampled_from(ORACLE_GROUPS)), draw(st.integers(1, 6)))
+    group = draw(st.one_of(st.just(window.group), st.sampled_from(ORACLE_GROUPS)))
+    kind = draw(st.sampled_from(["codim", "trivial", "random"]))
+    if kind == "codim":
+        params = ModuleParams(F(0), F(1), F(0), group)
+    elif kind == "trivial":
+        params = ModuleParams(F(0), F(0), F(0), group)
+    else:
+        f = draw(st.one_of(st.just(F(0)), small_fractions))
+        params = ModuleParams(draw(small_fractions), draw(small_fractions), f, group)
+    return params, window
+
+
+@st.composite
+def window_seeds(draw, window):
+    positions = st.integers(-window.bound, window.bound)
+    seed = st.dictionaries(
+        positions.map(lambda n: n * window.step), st.integers(-2, 2), min_size=1, max_size=3
+    )
+    return draw(st.lists(seed, min_size=1, max_size=2))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (HvirError, ValueError) as exc:
+        return type(exc)
+
+
+class TestSubspaceReduction:
+    def test_new_row_reduced_against_existing_pivots(self):
+        p = ModuleParams(F(0), F(1), F(0), Z)
+        vectors = [basis_vector(p, 1), WeightVector(p, {F(0): F(1), F(1): F(1)})]
+        a = Subspace(p)
+        b = Subspace(p)
+        for v in vectors:
+            a.insert(v)
+        for v in reversed(vectors):
+            b.insert(v)
+        assert a == b
+        assert a.row_entries() == [{F(0): F(1)}, {F(1): F(1)}]
+
+
+class TestClosureOracle:
+    """Reachability against exact elimination to a fixpoint."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closure_matches_reference(self, data):
+        params, window = data.draw(oracle_cases())
+        seeds = data.draw(window_seeds(window))
+        fast = outcome(closure, params, window, seeds)
+        slow = outcome(reference_closure, params, window, seeds)
+        if isinstance(slow, type):
+            assert fast is slow
+            return
+        assert fast.pivots() == slow.pivots()
+        assert fast.row_entries() == slow.row_entries()
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases())
+    def test_scan_matches_reference(self, case):
+        params, window = case
+        fast = outcome(scan_details, params, window)
+        slow = outcome(reference_scan, params, window)
+        if isinstance(slow, type):
+            assert fast is slow
+            return
+        classification, dims, proper = fast
+        assert (classification.verdict, dims, proper) == slow
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_adjacency_matches_edge_definition(self, case):
+        # q -> t (t != q) exactly when f != 0 or alpha + q + (t-q)*beta != 0
+        params, window = case
+        indices = window.indices()
+        rows = _adjacency(params, window)
+        for i, q in enumerate(indices):
+            for j, t in enumerate(indices):
+                if j != i:
+                    edge = bool(params.f or params.alpha + q + (t - q) * params.beta)
+                    assert bool(rows[i] >> j & 1) == edge
+
+    def test_window_group_outside_module_group(self):
+        p = ModuleParams(F(0), F(1), F(0), Z)
+        for bound in (2, 3):
+            w = Window(cyclic(F(1, 2)), bound)
+            with pytest.raises(GroupMismatchError):
+                scan_details(p, w)
+            with pytest.raises(GroupMismatchError):
+                closure(p, w, [{F(1): 1}])
+
+    def test_large_codim_one_scan(self):
+        p = ModuleParams(F(0), F(1), F(0), qk(3))
+        w = Window(qk(3), 64)
+        began = time.perf_counter()
+        classification, dims, proper = scan_details(p, w)
+        elapsed = time.perf_counter() - began
+        assert classification.verdict == VERDICT_CODIM_ONE
+        assert dims[F(0)] == w.size
+        assert proper == [q for q in w.indices() if q != 0]
+        assert elapsed < 1.0

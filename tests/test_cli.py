@@ -1,10 +1,13 @@
 """CLI behavior: golden outputs, determinism, structured reports, errors."""
 
 import json
+import random
+import time
+from itertools import combinations
 
 import pytest
 
-from hvir.cli import main
+from hvir.cli import _sample_ranks, _unrank_triple, main
 
 
 def run_cli(capsys, *argv):
@@ -179,3 +182,26 @@ class TestErrors:
         status, _, err = run_cli(capsys, "scan", "0,1,0@Q", "--window", "3")
         assert status == 1
         assert err.startswith("error[invalid-input]:")
+
+
+class TestJacobiSampling:
+    def test_unrank_follows_combinations_order(self):
+        for size in range(3, 12):
+            expected = list(combinations(range(size), 3))
+            assert [tuple(_unrank_triple(r, size)) for r in range(len(expected))] == expected
+
+    @pytest.mark.parametrize("size,samples,seed", [(15, 40, 3), (27, 5, 1), (12, 500, 0)])
+    def test_same_triples_as_sampling_the_full_pool(self, size, samples, seed):
+        pool = list(combinations(range(size), 3))
+        expected = random.Random(seed).sample(pool, min(samples, len(pool)))
+        ranks = _sample_ranks(size, samples, seed)
+        assert [tuple(_unrank_triple(r, size)) for r in ranks] == expected
+
+    def test_huge_window_builds_no_pool(self, capsys):
+        began = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "--structured", "jacobi", "--window", "0:2000", "--samples", "5", "--seed", "1"
+        )
+        assert time.perf_counter() - began < 5.0
+        assert status == 0 and err == ""
+        assert json.loads(out)["checked"] == 5

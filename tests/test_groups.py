@@ -5,7 +5,7 @@ oracles, never by the operations under test.
 """
 
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +27,7 @@ from hvir import (
     subgroup_sum,
     supernatural,
 )
+from hvir.groups import _is_prime
 
 F = Fraction
 
@@ -272,3 +273,49 @@ class TestCanonicalForms:
         assert is_subgroup(supernatural({2: 1, 3: inf}), supernatural({2: inf, 3: inf}))
         assert not is_subgroup(FULL_Q, supernatural({2: inf}))
         assert is_subgroup(supernatural({2: inf}), FULL_Q)
+
+
+def trial_division_is_prime(n):
+    """Oracle: the smallest divisor of n above 1 is n itself."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+# composites that fool weaker tests, each with its factorization: Carmichael
+# numbers, and strong pseudoprimes to every prime base up to 2, 3, 5, 7,
+# 11, 13, 17, 23 and 37 in turn (the last one is caught only by base 41)
+TRICKY_COMPOSITES = {
+    561: [3, 11, 17],
+    41041: [7, 11, 13, 41],
+    825265: [5, 7, 17, 19, 73],
+    321197185: [5, 19, 23, 29, 37, 137],
+    5394826801: [7, 13, 17, 23, 31, 67, 73],
+    232250619601: [7, 11, 13, 17, 31, 37, 73, 163],
+    9746347772161: [7, 11, 13, 17, 19, 31, 37, 41, 641],
+    2047: [23, 89],
+    1373653: [829, 1657],
+    25326001: [2251, 11251],
+    3215031751: [151, 751, 28351],
+    2152302898747: [6763, 10627, 29947],
+    3474749660383: [1303, 16927, 157543],
+    341550071728321: [10670053, 32010157],
+    3825123056546413051: [149491, 747451, 34233211],
+    318665857834031151167461: [399165290221, 798330580441],
+}
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [n for n in range(-5, 10 ** 5) if _is_prime(n) != trial_division_is_prime(n)] == []
+
+    @pytest.mark.parametrize("n", sorted(TRICKY_COMPOSITES))
+    def test_pseudoprimes_rejected(self, n):
+        assert prod(TRICKY_COMPOSITES[n]) == n
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 9 + 7, 998244353])
+    def test_large_primes_accepted(self, n):
+        assert _is_prime(n)
+
+    def test_large_prime_in_supernatural_spec(self):
+        group = supernatural({2 ** 61 - 1: inf})
+        assert contains(group, F(1, (2 ** 61 - 1) ** 3))
