@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CentralTermError, IndexDomainError
-from .groups import SubgroupSpec, as_fraction, contains
+from .groups import MAX_FACTORIAL_ORDER, SubgroupSpec, as_fraction, contains
 
 __all__ = [
     "BasisKey",
@@ -93,6 +93,21 @@ def I(g):  # noqa: E743 - matches the element grammar atom I(...)
 CD = BasisKey("CD")
 CDI = BasisKey("CDI")
 CI = BasisKey("CI")
+
+
+def _signed_terms(terms):
+    """Print ``(symbol, coefficient)`` pairs as a signed sum such as
+    ``-v(-1) + 2*v(1)``: a coefficient of magnitude 1 is left out, the
+    first term carries its own sign, and an empty sum prints as ``0``."""
+    parts = []
+    for symbol, coeff in terms:
+        mag = -coeff if coeff < 0 else coeff
+        body = symbol if mag == 1 else "%s*%s" % (mag, symbol)
+        if not parts:
+            parts.append("-" + body if coeff < 0 else body)
+        else:
+            parts.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(parts) or "0"
 
 
 class AlgebraElement:
@@ -177,18 +192,8 @@ class AlgebraElement:
         return AlgebraElement({k: c for k, c in self._terms.items() if not k.is_central})
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for key in sorted(self._terms, key=BasisKey._display_key):
-            coeff = self._terms[key]
-            mag = -coeff if coeff < 0 else coeff
-            body = str(key) if mag == 1 else "%s*%s" % (mag, key)
-            if not parts:
-                parts.append("-" + body if coeff < 0 else body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(parts)
+        keys = sorted(self._terms, key=BasisKey._display_key)
+        return _signed_terms((str(key), self._terms[key]) for key in keys)
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self
@@ -304,6 +309,10 @@ class RescalingMap:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("rescaling order must be a positive integer")
+        if self.m > MAX_FACTORIAL_ORDER:
+            raise ValueError(
+                "rescaling order %d exceeds the cap of %d" % (self.m, MAX_FACTORIAL_ORDER)
+            )
         if self.variant not in (CENTERLESS, EXACT_CENTRAL):
             raise ValueError("variant must be %r or %r" % (EXACT_CENTRAL, CENTERLESS))
 

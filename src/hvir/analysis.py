@@ -42,6 +42,7 @@ from .intermediate import (
     WeightVector,
     act,
     basis_vector,
+    d_coefficient,
 )
 
 __all__ = [
@@ -60,6 +61,12 @@ __all__ = [
 ]
 
 
+# Largest accepted window bound.  A codimension-1 scan costs about
+# bound**3 / 64 word operations: about 11 s at this cap on a 2-vCPU
+# host under Python 3.11.
+MAX_WINDOW_BOUND = 2048
+
+
 @dataclass(frozen=True)
 class Window:
     """The finite index set {n*step : |n| <= bound} of a cyclic group."""
@@ -72,6 +79,10 @@ class Window:
             raise ValueError("windows require a cyclic index group")
         if not isinstance(self.bound, int) or self.bound < 1:
             raise ValueError("window bound must be a positive integer")
+        if self.bound > MAX_WINDOW_BOUND:
+            raise ValueError(
+                "window bound %d exceeds the cap of %d" % (self.bound, MAX_WINDOW_BOUND)
+            )
 
     @property
     def step(self):
@@ -96,6 +107,14 @@ class Window:
 
     def __str__(self):
         return "%s:%d" % (self.group, self.bound)
+
+
+def _exact_entries(vector):
+    """Index -> coefficient Fractions of a weight vector or a plain dict;
+    inexact keys or values raise TypeError."""
+    if isinstance(vector, WeightVector):
+        return vector.entries
+    return {as_fraction(q): as_fraction(c) for q, c in dict(vector).items()}
 
 
 class Subspace:
@@ -134,8 +153,7 @@ class Subspace:
 
     def insert(self, vector):
         """Add a vector to the span; returns True when the dimension grew."""
-        entries = vector.entries if isinstance(vector, WeightVector) else dict(vector)
-        remainder = self._reduce(entries)
+        remainder = self._reduce(_exact_entries(vector))
         if not remainder:
             return False
         pivot = min(remainder)
@@ -155,8 +173,7 @@ class Subspace:
         return True
 
     def contains(self, vector):
-        entries = vector.entries if isinstance(vector, WeightVector) else dict(vector)
-        return not self._reduce(entries)
+        return not self._reduce(_exact_entries(vector))
 
     @property
     def echelon_basis(self):
@@ -193,11 +210,12 @@ def _adjacency(params, window):
 
     Position n + bound holds the index q = n*step.  From q, I(t - q)
     reaches every t when f != 0, and d(t - q) reaches t = m*step with
-    coefficient alpha + q + (t - q)*beta.  With beta = u/v in lowest
-    terms and k = -alpha*v/step that coefficient is
+    the coefficient d_coefficient(alpha, beta, q, t - q).  With beta = u/v
+    in lowest terms and k = -alpha*v/step that coefficient is
     step/v * ((v - u)*n + u*m - k), so it never vanishes unless k is an
     integer, and then it vanishes on at most one target m, or on all of
-    them when u == 0 and n == k.
+    them when u == 0 and n == k.  Only these zeros are computed, in
+    integers; the coefficients themselves are never evaluated.
     """
     bound = window.bound
     full = (1 << window.size) - 1
@@ -391,7 +409,9 @@ def intertwiner_check(p1, p2, shift, window):
         for p in window.steps():
             if (q + p) not in window or (q - shift + p) not in window:
                 continue
-            if p1.alpha + q + p * p1.beta != p2.alpha + (q - shift) + p * p2.beta:
+            if d_coefficient(p1.alpha, p1.beta, q, p) != d_coefficient(
+                p2.alpha, p2.beta, q - shift, p
+            ):
                 return False
             if p != 0:
                 off_diagonal += 1
@@ -465,7 +485,7 @@ def intermediate_series_table(params, window, scales=None):
             if tgt not in window:
                 continue
             ratio = c[src] / c[tgt] if c is not None else 1
-            coeff_d = params.alpha + src + p * params.beta
+            coeff_d = d_coefficient(params.alpha, params.beta, src, p)
             if coeff_d:
                 entries[(d(p), src)] = (tgt, coeff_d * ratio)
             if params.f:
@@ -551,7 +571,7 @@ def _chain_scales(window, edges, base):
 
 def _verify_table(table, alpha, beta, f, scales):
     for (key, src), (tgt, coeff) in table.entries.items():
-        expected = f if key.kind == "I" else alpha + src + key.index * beta
+        expected = f if key.kind == "I" else d_coefficient(alpha, beta, src, key.index)
         if expected == 0:
             raise NotIntermediateSeriesError(
                 "entry %s at %s is nonzero where the action must vanish" % (key, src)
@@ -568,7 +588,7 @@ def _try_chain_and_verify(table, alpha, beta, f, i_edges, base):
     for (key, src), (tgt, coeff) in table.entries.items():
         if key.kind != "d" or key.index == 0:
             continue
-        expected = alpha + src + key.index * beta
+        expected = d_coefficient(alpha, beta, src, key.index)
         if expected == 0:
             raise NotIntermediateSeriesError(
                 "entry %s at %s is nonzero where the action must vanish" % (key, src)
@@ -744,7 +764,7 @@ def align_extension(reference, candidate):
     for q in indices:
         for t in indices:
             p = t - q
-            expected_d = params.alpha + q + p * params.beta
+            expected_d = d_coefficient(params.alpha, params.beta, q, p)
             if act(params, d(p), rescaled[q]) != expected_d * rescaled[t]:
                 raise ValueError(
                     "candidate violates the d-action relation from %s to %s" % (q, t)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial, gcd, inf, lcm
 
 __all__ = [
     "SubgroupSpec",
@@ -197,10 +197,19 @@ def supernatural(exponents):
     return Cyclic(Fraction(1, denom))
 
 
+# Largest k accepted for qk:<k> and for the rescaling order m: 500! has
+# 1135 digits, so the m!^2 in the rescaled central terms still prints.
+MAX_FACTORIAL_ORDER = 500
+
+
 def qk(k):
     """The subgroup {n/k! : n integer}, written qk:<k> in group specs."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("qk index must be a non-negative integer")
+    if k > MAX_FACTORIAL_ORDER:
+        raise ValueError(
+            "qk index %d exceeds the cap of %d" % (k, MAX_FACTORIAL_ORDER)
+        )
     return Cyclic(Fraction(1, factorial(k)))
 
 
@@ -213,7 +222,9 @@ def contains(group, q):
     if isinstance(group, Trivial):
         return q == 0
     if isinstance(group, Cyclic):
-        return (q / group.generator).denominator == 1
+        # q / a is an integer exactly when q.den * a.num divides q.num * a.den
+        a = group.generator
+        return q.numerator * a.denominator % (q.denominator * a.numerator) == 0
     if isinstance(group, Supernatural):
         den = q.denominator
         for p, e in group.exponents:
@@ -271,6 +282,10 @@ def subgroup_sum(g, h):
         return h
     if isinstance(h, Trivial):
         return g
+    if isinstance(g, Cyclic) and isinstance(h, Cyclic):
+        a, b = g.generator, h.generator
+        return Cyclic(Fraction(gcd(a.numerator, b.numerator),
+                               lcm(a.denominator, b.denominator)))
     pg, ph = _profile(g), _profile(h)
     merged = {p: min(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)}
     return _from_profile(merged)
@@ -285,6 +300,10 @@ def subgroup_intersect(g, h):
         return h
     if isinstance(h, FullQ):
         return g
+    if isinstance(g, Cyclic) and isinstance(h, Cyclic):
+        a, b = g.generator, h.generator
+        return Cyclic(Fraction(lcm(a.numerator, b.numerator),
+                               gcd(a.denominator, b.denominator)))
     pg, ph = _profile(g), _profile(h)
     merged = {p: max(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)}
     return _from_profile(merged)

@@ -13,15 +13,23 @@ that reduction the module is reducible exactly when f == 0, alpha == 0
 and beta is 0 or 1; these two reducible points and the isomorphism rules
 between irreducible subquotients are what :func:`classify` and
 :func:`iso_check` encode.
+
+A :class:`WeightVector` is held in integers: one index denominator L,
+one coefficient denominator D and a sorted dict from index numerators
+to coefficient numerators, gcd-reduced so that equal vectors have equal
+fields.  Sums, differences, scalar multiples, equality and :func:`act`
+run on these integers; ``Fraction`` appears only at the boundary, in the
+constructor's input and in ``entries``, ``coefficient`` and ``str``.
+The coefficient alpha + h + g*beta is evaluated only by :func:`d_coefficient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .algebra import _as_element
+from .algebra import _as_element, _signed_terms
 from .errors import GroupMismatchError, SubalgebraError
 from .groups import (
     SubgroupSpec,
@@ -70,14 +78,32 @@ class ModuleParams:
         return "%s,%s,%s@%s" % (self.alpha, self.beta, self.f, self.group)
 
 
+def d_coefficient(alpha, beta, q, g):
+    """Coefficient of d(g) from v(q) to v(q+g): alpha + q + g*beta.
+
+    It is linear in (alpha, q, g*beta): scaling alpha, q and the product
+    g*beta by one common factor scales the coefficient by it, which lets
+    :func:`act` evaluate it on integers.
+    """
+    return alpha + q + g * beta
+
+
 class WeightVector:
     """Sparse vector over the module's basis indices.
 
     The basis vector at index q is a d(0)-eigenvector with eigenvalue
     alpha + q; entries with zero coefficient are never stored.
+
+    The vector sum (c/D) v(k/L) is held in integers: a positive index
+    denominator L, a positive coefficient denominator D, and a dict
+    ``{k: c}`` sorted by k with no zero c.  The form is canonical (L is
+    coprime to the gcd of all k and D to the gcd of all c; the zero
+    vector has L = D = 1), so equal vectors have equal fields.  Fractions
+    appear only at the boundary: the constructor's input, ``entries``,
+    ``coefficient`` and ``str``.
     """
 
-    __slots__ = ("params", "_entries")
+    __slots__ = ("params", "_L", "_D", "_num")
 
     def __init__(self, params, entries=(), _trusted=False):
         if not isinstance(params, ModuleParams):
@@ -93,89 +119,116 @@ class WeightVector:
                 raise SubalgebraError(
                     "index %s lies outside the module's group %s" % (index, params.group)
                 )
-            total = acc.get(index, 0) + coeff
-            if total == 0:
-                acc.pop(index, None)
-            else:
-                acc[index] = total
-        self.params = params
-        self._entries = {q: acc[q] for q in sorted(acc)}
+            acc[index] = acc.get(index, 0) + coeff
+        L = lcm(*(q.denominator for q in acc))
+        D = lcm(*(c.denominator for c in acc.values()))
+        num = {}
+        for q, c in acc.items():
+            num[q.numerator * (L // q.denominator)] = c.numerator * (D // c.denominator)
+        _set_canonical(self, params, L, D, num)
 
     @classmethod
-    def _raw(cls, params, entries):
-        # internal fast path: entries are index->coefficient Fractions with
-        # indices already known to lie in the group; zeros are pruned here
+    def _canonical(cls, params, L, D, num):
+        # internal constructor from an unreduced integer form: indices
+        # are already known to lie in the group
         self = object.__new__(cls)
-        self.params = params
-        self._entries = {q: entries[q] for q in sorted(entries) if entries[q] != 0}
+        _set_canonical(self, params, L, D, num)
         return self
 
     @property
     def entries(self):
-        return dict(self._entries)
+        L, D = self._L, self._D
+        return {Fraction(k, L): Fraction(c, D) for k, c in self._num.items()}
 
     def coefficient(self, index):
-        return self._entries.get(as_fraction(index), Fraction(0))
+        index = as_fraction(index)
+        if self._L % index.denominator:
+            return Fraction(0)
+        k = index.numerator * (self._L // index.denominator)
+        return Fraction(self._num.get(k, 0), self._D)
 
     def is_zero(self):
-        return not self._entries
+        return not self._num
 
     def __bool__(self):
-        return bool(self._entries)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, WeightVector):
             return NotImplemented
         if self.params is not other.params and self.params != other.params:
             return False
-        return self._entries == other._entries
+        return self._L == other._L and self._D == other._D and self._num == other._num
+
+    def _combine(self, other, sign, verb):
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        if self.params is not other.params and self.params != other.params:
+            raise GroupMismatchError("cannot %s vectors of different modules" % verb)
+        L, D = self._L, self._D
+        merged = dict(self._num)
+        if other._L == L and other._D == D:
+            terms = other._num.items()
+        else:
+            # bring both to the common denominators lcm(L) and lcm(D)
+            L, D = lcm(L, other._L), lcm(D, other._D)
+            ks, cs = L // self._L, D // self._D
+            if ks != 1 or cs != 1:
+                merged = {k * ks: c * cs for k, c in merged.items()}
+            ks, cs = L // other._L, D // other._D
+            terms = [(k * ks, c * cs) for k, c in other._num.items()]
+        for k, c in terms:
+            merged[k] = merged.get(k, 0) + sign * c
+        return WeightVector._canonical(self.params, L, D, merged)
 
     def __add__(self, other):
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        if self.params is not other.params and self.params != other.params:
-            raise GroupMismatchError("cannot add vectors of different modules")
-        merged = dict(self._entries)
-        for q, c in other._entries.items():
-            merged[q] = merged.get(q, 0) + c
-        return WeightVector._raw(self.params, merged)
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other):
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        if self.params is not other.params and self.params != other.params:
-            raise GroupMismatchError("cannot subtract vectors of different modules")
-        merged = dict(self._entries)
-        for q, c in other._entries.items():
-            merged[q] = merged.get(q, 0) - c
-        return WeightVector._raw(self.params, merged)
+        return self._combine(other, -1, "subtract")
 
     def __neg__(self):
-        return WeightVector._raw(self.params, {q: -c for q, c in self._entries.items()})
+        return WeightVector._canonical(
+            self.params, self._L, self._D, {k: -c for k, c in self._num.items()}
+        )
 
     def __mul__(self, scalar):
         scalar = as_fraction(scalar)
-        return WeightVector._raw(
-            self.params, {q: scalar * c for q, c in self._entries.items()}
+        sn = scalar.numerator
+        return WeightVector._canonical(
+            self.params,
+            self._L,
+            self._D * scalar.denominator,
+            {k: sn * c for k, c in self._num.items()},
         )
 
     __rmul__ = __mul__
 
     def __str__(self):
-        if not self._entries:
-            return "0"
-        parts = []
-        for q, coeff in self._entries.items():
-            mag = -coeff if coeff < 0 else coeff
-            body = "v(%s)" % q if mag == 1 else "%s*v(%s)" % (mag, q)
-            if not parts:
-                parts.append("-" + body if coeff < 0 else body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(parts)
+        return _signed_terms(("v(%s)" % q, c) for q, c in self.entries.items())
 
     def __repr__(self):
         return "WeightVector(%s | %s)" % (self, self.params)
+
+
+def _set_canonical(self, params, L, D, num):
+    """Fill a vector's fields with the canonical form of (L, D, num):
+    zeros dropped, keys sorted, both denominators gcd-reduced."""
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
+    if not num:
+        L = D = 1
+    else:
+        gl = gcd(L, *num)
+        gc = gcd(D, *num.values())
+        if gl != 1 or gc != 1 or len(num) > 1:
+            L //= gl
+            D //= gc
+            num = {k // gl: num[k] // gc for k in sorted(num)}
+    self.params = params
+    self._L = L
+    self._D = D
+    self._num = num
 
 
 def basis_vector(params, index):
@@ -188,13 +241,18 @@ def act(params, x, v):
     Every d/I index of ``x`` must lie in the module's group; central
     symbols act as zero.  The result lives in the full module, with no
     window truncation.
+
+    The work is done on integers: the index denominator L grows to a
+    multiple of a generator's denominator only when that one does not
+    divide it, and every coefficient shares one denominator.
     """
     x = _as_element(x)
     if v.params is not params and v.params != params:
         raise GroupMismatchError("vector belongs to %s, not %s" % (v.params, params))
     group = params.group
-    alpha, beta, f = params.alpha, params.beta, params.f
-    acc = {}
+    f = params.f
+    L = v._L
+    gens = []
     for key, c in x._terms.items():
         g = key.index
         if g is None:
@@ -203,17 +261,48 @@ def act(params, x, v):
             raise SubalgebraError(
                 "element %s has indices outside the group %s" % (x, group)
             )
-        if key.kind == "d":
-            for h, cv in v._entries.items():
-                w = alpha + h + g * beta
+        if key.kind == "d" or f:
+            gd = g.denominator
+            gens.append((key.kind == "d", g.numerator, gd, c.numerator, c.denominator))
+            if L % gd:
+                L = lcm(L, gd)
+    source = v._num
+    if not gens or not source:
+        return WeightVector._canonical(params, 1, 1, {})
+    if L != v._L:
+        scale = L // v._L
+        source = {k * scale: c for k, c in source.items()}
+    alpha, beta = params.alpha, params.beta
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    fn, fd = f.numerator, f.denominator
+    # times P = ad*bd*L, alpha, the index k/L and g*beta are the integers
+    # alpha_P, k*S and gk*beta_P, so P times each d-coefficient is one too
+    S = ad * bd
+    P = S * L
+    alpha_P = an * bd * L
+    beta_P = bn * ad
+    # every term's coefficient denominator, cd*P for d and cd*fd for I,
+    # divides den
+    den = 1
+    for is_d, _, _, _, cd in gens:
+        den = lcm(den, cd * (P if is_d else fd))
+    acc = {}
+    for is_d, gn, gd, cn, cd in gens:
+        gk = gn * (L // gd)
+        if is_d:
+            cn *= den // (cd * P)
+            for k, cv in source.items():
+                w = d_coefficient(alpha_P, beta_P, k * S, gk)
                 if w:
-                    t = g + h
-                    acc[t] = acc.get(t, 0) + c * cv * w
-        elif f:
-            for h, cv in v._entries.items():
-                t = g + h
-                acc[t] = acc.get(t, 0) + c * cv * f
-    return WeightVector._raw(params, acc)
+                    t = k + gk
+                    acc[t] = acc.get(t, 0) + cn * cv * w
+        else:
+            cf = cn * fn * (den // (cd * fd))
+            for k, cv in source.items():
+                t = k + gk
+                acc[t] = acc.get(t, 0) + cf * cv
+    return WeightVector._canonical(params, L, v._D * den, acc)
 
 
 def act_word(params, word, v):

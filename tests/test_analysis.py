@@ -636,6 +636,24 @@ class TestSubspaceReduction:
         assert a == b
         assert a.row_entries() == [{F(0): F(1)}, {F(1): F(1)}]
 
+    def test_plain_dicts_stay_exact(self):
+        p = ModuleParams(F(0), F(1), F(0), Z)
+        sub = Subspace(p)
+        assert sub.insert({F(1): 2, F(2): 1})
+        assert sub.row_entries() == [{F(1): F(1), F(2): F(1, 2)}]
+        assert all(type(c) is F for c in sub.row_entries()[0].values())
+        assert sub.contains({1: 4, 2: 2})
+        assert not sub.contains({1: 1})
+
+    def test_inexact_dicts_rejected(self):
+        sub = Subspace(ModuleParams(F(0), F(1), F(0), Z))
+        with pytest.raises(TypeError):
+            sub.insert({F(1): 0.5})
+        with pytest.raises(TypeError):
+            sub.insert({1.0: 1})
+        with pytest.raises(TypeError):
+            sub.contains({F(1): 0.5})
+
 
 class TestClosureOracle:
     """Reachability against exact elimination to a fixpoint."""

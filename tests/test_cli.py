@@ -184,6 +184,45 @@ class TestErrors:
         assert err.startswith("error[invalid-input]:")
 
 
+class TestCaps:
+    @pytest.mark.parametrize("argv,message", [
+        (["classify", "1/7,1,0@qk:20000"], "qk index 20000 exceeds the cap of 500"),
+        (["scan", "--window", "100000000", "0,1,0@qk:0"],
+         "window bound 100000000 exceeds the cap of 2048"),
+        (["closure", "0,1,0@qk:0", "--window", "2049", "--seed", "0"],
+         "window bound 2049 exceeds the cap of 2048"),
+        (["restrict", "0,1,0@qk:0", "--subgroup", "qk:0", "--window", "5000"],
+         "window bound 5000 exceeds the cap of 2048"),
+        (["jacobi", "--window", "0:100000000"],
+         "window bound 100000000 exceeds the cap of 2048"),
+        (["jacobi", "--window", "501:2"], "qk index 501 exceeds the cap of 500"),
+        (["phi", "--m", "100000", "--variant", "exact", "d(0)"],
+         "rescaling order 100000 exceeds the cap of 500"),
+    ])
+    def test_oversize_input_names_the_cap(self, capsys, argv, message):
+        began = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - began < 2.0
+        assert status == 1 and out == ""
+        assert err == "error[invalid-input]: %s\n" % message
+
+    def test_table_header_bound(self, capsys, tmp_path):
+        table = tmp_path / "big.txt"
+        table.write_text("window qk:0 100000000\nd(0) 0 0 1\n")
+        status, _, err = run_cli(capsys, "recover", "--table", str(table))
+        assert status == 1
+        assert err == "error[invalid-input]: window bound 100000000 exceeds the cap of 2048\n"
+
+    def test_values_at_the_caps_are_accepted(self, capsys):
+        status, out, _ = run_cli(capsys, "phi", "--m", "500", "--variant", "exact", "d(0)")
+        assert status == 0 and "*CD" in out
+        status, out, _ = run_cli(capsys, "classify", "1/7,1,0@qk:500")
+        assert status == 0 and out.startswith("verdict: ReducibleCodimOne")
+        status, out, _ = run_cli(
+            capsys, "jacobi", "--window", "500:2048", "--samples", "3", "--seed", "2")
+        assert status == 0 and out == "jacobi: OK (3 triples checked)\n"
+
+
 class TestJacobiSampling:
     def test_unrank_follows_combinations_order(self):
         for size in range(3, 12):

@@ -4,6 +4,7 @@ Expected values for the derived cases are computed by finite enumeration
 oracles, never by the operations under test.
 """
 
+import time
 from fractions import Fraction
 from math import inf, isqrt, prod
 
@@ -27,7 +28,7 @@ from hvir import (
     subgroup_sum,
     supernatural,
 )
-from hvir.groups import _is_prime
+from hvir.groups import MAX_FACTORIAL_ORDER, _from_profile, _is_prime, _profile
 
 F = Fraction
 
@@ -170,6 +171,24 @@ class TestSumIntersect:
         meet = subgroup_intersect(g, h)
         assert is_subgroup(meet, g) and is_subgroup(meet, h)
 
+    @given(cyclic_groups, cyclic_groups)
+    def test_cyclic_gcd_lcm_match_valuation_profiles(self, g, h):
+        pg, ph = _profile(g), _profile(h)
+        primes = set(pg) | set(ph)
+        assert subgroup_sum(g, h) == _from_profile(
+            {p: min(pg.get(p, 0), ph.get(p, 0)) for p in primes})
+        assert subgroup_intersect(g, h) == _from_profile(
+            {p: max(pg.get(p, 0), ph.get(p, 0)) for p in primes})
+
+    def test_cyclic_sum_needs_no_factoring(self):
+        # the denominator is a product of two Mersenne primes, far beyond
+        # trial division
+        big = (2 ** 61 - 1) * (2 ** 89 - 1)
+        start = time.perf_counter()
+        assert subgroup_sum(cyclic(F(1, big)), cyclic(F(1, 3))) == cyclic(F(1, 3 * big))
+        assert subgroup_intersect(cyclic(F(1, big)), cyclic(F(1, 3))) == INTEGERS
+        assert time.perf_counter() - start < 1.0
+
 
 class TestQkChain:
     def test_qk_is_cyclic_inverse_factorial(self):
@@ -181,6 +200,11 @@ class TestQkChain:
         q = n * qk(k).generator
         assert contains(qk(k), q)
         assert contains(qk(k + 1), q)
+
+    def test_order_cap(self):
+        assert qk(MAX_FACTORIAL_ORDER).generator.denominator > 0
+        with pytest.raises(ValueError, match="cap of %d" % MAX_FACTORIAL_ORDER):
+            qk(MAX_FACTORIAL_ORDER + 1)
 
     def test_chain_is_strict(self):
         for k in range(1, 6):

@@ -1,0 +1,201 @@
+"""Differential tests of the integer-backed ``WeightVector`` and ``act``
+against the Fraction-dict oracle in ``helpers``."""
+
+from fractions import Fraction
+from math import inf
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hvir import (
+    CD,
+    CDI,
+    FULL_Q,
+    AlgebraElement,
+    I,
+    ModuleParams,
+    SubalgebraError,
+    WeightVector,
+    act,
+    act_word,
+    contains,
+    cyclic,
+    d,
+    qk,
+    supernatural,
+)
+from helpers import (
+    ReferenceVector,
+    reference_act,
+    reference_act_word,
+    reference_contains,
+)
+
+F = Fraction
+
+# Z, 1/2 Z, 1/6 Z, sn:2^inf and Q
+CORE_GROUPS = (qk(0), cyclic(F(1, 2)), cyclic(F(1, 6)), supernatural({2: inf}), FULL_Q)
+
+small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+def group_indices(group):
+    """Indices in the group with mixed denominators."""
+    if group == FULL_Q:
+        return st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+    if group == CORE_GROUPS[3]:
+        return st.builds(lambda n, e: F(n, 2 ** e), st.integers(-12, 12), st.integers(0, 4))
+    return st.integers(-8, 8).map(lambda n: n * group.generator)
+
+
+def any_indices():
+    """Indices that may lie outside the group."""
+    return st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6, 7, 12]))
+
+
+@st.composite
+def params_and_indices(draw):
+    group = draw(st.sampled_from(CORE_GROUPS))
+    f = draw(st.one_of(st.just(F(0)), small_fractions))
+    beta = draw(st.one_of(st.sampled_from([F(0), F(1)]), small_fractions))
+    params = ModuleParams(draw(small_fractions), beta, f, group)
+    return params, group_indices(group)
+
+
+@st.composite
+def entry_lists(draw, indices, max_size=4):
+    """(index, coefficient) pairs; repeated indices, zero coefficients
+    and pairs that cancel to zero all occur."""
+    pairs = draw(st.lists(st.tuples(indices, small_fractions), max_size=max_size))
+    if pairs and draw(st.booleans()):
+        q, c = draw(st.sampled_from(pairs))
+        pairs.append((q, -c))
+    return draw(st.permutations(pairs))
+
+
+@st.composite
+def vector_pairs(draw, count=2):
+    params, indices = draw(params_and_indices())
+    lists = [draw(entry_lists(indices)) for _ in range(count)]
+    return params, indices, lists
+
+
+@st.composite
+def elements(draw, indices):
+    """Elements of up to three terms, central symbols included."""
+    keys = st.one_of(indices.map(d), indices.map(I), st.sampled_from([CD, CDI]))
+    terms = draw(st.lists(st.tuples(keys, small_fractions), min_size=0, max_size=3))
+    return AlgebraElement(terms)
+
+
+def assert_same(vector, reference):
+    assert vector.entries == reference.entries
+    assert all(type(q) is F and type(c) is F for q, c in vector.entries.items())
+    assert str(vector) == str(reference)
+    assert vector.is_zero() == reference.is_zero()
+    assert bool(vector) == (not reference.is_zero())
+    for q in list(reference.entries) + [F(0), F(1, 7), F(5, 4), 3]:
+        assert vector.coefficient(q) == reference.coefficient(q)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(vector_pairs(count=1), st.booleans())
+    def test_constructor(self, case, trusted):
+        params, _, (items,) = case
+        assert_same(WeightVector(params, items, _trusted=trusted),
+                    ReferenceVector(params, items, _trusted=trusted))
+
+    @settings(max_examples=200, deadline=None)
+    @given(params_and_indices(), st.lists(st.tuples(any_indices(), small_fractions),
+                                          max_size=4))
+    def test_constructor_membership(self, case, items):
+        params, _ = case
+        try:
+            reference = ReferenceVector(params, items)
+        except SubalgebraError:
+            with pytest.raises(SubalgebraError):
+                WeightVector(params, items)
+            # the trusted path skips the membership check on both sides
+            assert_same(WeightVector(params, items, _trusted=True),
+                        ReferenceVector(params, items, _trusted=True))
+        else:
+            assert_same(WeightVector(params, items), reference)
+
+    @settings(max_examples=400, deadline=None)
+    @given(vector_pairs(), st.one_of(small_fractions, st.integers(-3, 3)))
+    def test_linear_operations(self, case, scalar):
+        params, _, (a_items, b_items) = case
+        a, b = WeightVector(params, a_items), WeightVector(params, b_items)
+        ra, rb = ReferenceVector(params, a_items), ReferenceVector(params, b_items)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(-a, -ra)
+        assert_same(a * scalar, ra * scalar)
+        assert_same(scalar * b, scalar * rb)
+        assert (a == b) == (ra == rb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_act(self, data):
+        params, indices, (items,) = data.draw(vector_pairs(count=1))
+        x = data.draw(elements(st.one_of(indices, any_indices())))
+        v, rv = WeightVector(params, items), ReferenceVector(params, items)
+        try:
+            expected = reference_act(params, x, rv)
+        except SubalgebraError:
+            with pytest.raises(SubalgebraError):
+                act(params, x, v)
+            return
+        assert_same(act(params, x, v), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_act_word(self, data):
+        params, indices, (items,) = data.draw(vector_pairs(count=1))
+        word = data.draw(st.lists(elements(indices), max_size=3))
+        v, rv = WeightVector(params, items), ReferenceVector(params, items)
+        assert_same(act_word(params, word, v), reference_act_word(params, word, rv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CORE_GROUPS), any_indices())
+    def test_contains(self, group, q):
+        assert contains(group, q) == reference_contains(group, q)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(vector_pairs(count=1))
+    def test_scaling_round_trip(self, case):
+        params, _, (items,) = case
+        v = WeightVector(params, items)
+        assert v * 2 * F(1, 2) == v
+        assert v * F(3, 7) * F(7, 3) == v
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector_pairs(count=2))
+    def test_cancellation_is_the_zero_vector(self, case):
+        params, _, (a_items, b_items) = case
+        v, w = WeightVector(params, a_items), WeightVector(params, b_items)
+        zero = v - v
+        assert zero.is_zero() and str(zero) == "0"
+        assert zero == WeightVector(params) == v * 0
+        # equality is structural, whichever denominators the operands had
+        assert (v + w) - w == v
+        assert w + (v - w) == v
+
+    def test_mixed_denominators_reduce(self):
+        p = ModuleParams(F(1, 5), F(2), F(3), FULL_Q)
+        v = WeightVector(p, {F(1, 2): F(1, 3), F(1, 3): F(1, 4)})
+        w = WeightVector(p, {F(1, 3): F(1, 4)})
+        assert v - w == WeightVector(p, {F(1, 2): F(1, 3)})
+        assert str(v - w) == "1/3*v(1/2)"
+
+    def test_inexact_input_rejected(self):
+        p = ModuleParams(F(0), F(1), F(1), qk(0))
+        with pytest.raises(TypeError):
+            WeightVector(p, {1: 0.5})
+        with pytest.raises(TypeError):
+            WeightVector(p, {0.5: 1})
+        with pytest.raises(TypeError):
+            WeightVector(p, {1: 1}) * 0.5
