@@ -5,7 +5,9 @@ group.  Within a window the engine computes exact submodule closures as
 the basis lines reachable from the seeds, scans for reducibility,
 decomposes restrictions into cosets, checks shift intertwiners, recovers
 module parameters from abstract action tables, and aligns rescaled
-bases.
+bases.  Table builders and intertwiner checks walk (source, target)
+pairs of window indices; recovery builds one scale chain per candidate
+slope and checks every entry once.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
@@ -76,7 +78,7 @@ class Window:
 
     def __post_init__(self):
         if not isinstance(self.group, Cyclic):
-            raise ValueError("windows require a cyclic index group")
+            raise ValueError("windows require a cyclic index group, got %s" % self.group)
         if not isinstance(self.bound, int) or self.bound < 1:
             raise ValueError("window bound must be a positive integer")
         if self.bound > MAX_WINDOW_BOUND:
@@ -97,8 +99,10 @@ class Window:
         return [n * a for n in range(-self.bound, self.bound + 1)]
 
     def __contains__(self, q):
-        ratio = as_fraction(q) / self.step
-        return ratio.denominator == 1 and abs(ratio) <= self.bound
+        # q = n*step exactly when q.den * step.num divides q.num * step.den
+        q, a = as_fraction(q), self.step
+        n, r = divmod(q.numerator * a.denominator, q.denominator * a.numerator)
+        return r == 0 and abs(n) <= self.bound
 
     def steps(self):
         """Every generator index that can connect two window indices."""
@@ -109,12 +113,12 @@ class Window:
         return "%s:%d" % (self.group, self.bound)
 
 
-def _exact_entries(vector):
-    """Index -> coefficient Fractions of a weight vector or a plain dict;
-    inexact keys or values raise TypeError."""
-    if isinstance(vector, WeightVector):
-        return vector.entries
-    return {as_fraction(q): as_fraction(c) for q, c in dict(vector).items()}
+def _exact_entries(params, vector):
+    """Index -> coefficient Fractions of a weight vector or of a plain dict,
+    which is checked as ``WeightVector(params, vector)`` checks it."""
+    if not isinstance(vector, WeightVector):
+        vector = WeightVector(params, dict(vector))
+    return vector.entries
 
 
 class Subspace:
@@ -153,7 +157,7 @@ class Subspace:
 
     def insert(self, vector):
         """Add a vector to the span; returns True when the dimension grew."""
-        remainder = self._reduce(_exact_entries(vector))
+        remainder = self._reduce(_exact_entries(self.params, vector))
         if not remainder:
             return False
         pivot = min(remainder)
@@ -173,7 +177,7 @@ class Subspace:
         return True
 
     def contains(self, vector):
-        return not self._reduce(_exact_entries(vector))
+        return not self._reduce(_exact_entries(self.params, vector))
 
     @property
     def echelon_basis(self):
@@ -368,20 +372,16 @@ def restriction_report(params, subgroup, window):
     a = window.step
     k = subgroup.generator / a
     assert k.denominator == 1
-    k = int(k)
-    buckets = {}
-    for n in range(-window.bound, window.bound + 1):
-        buckets.setdefault(n % k, []).append(n)
+    k, bound = int(k), window.bound
+    # residue r mod k is represented by r when r <= bound and by r - k
+    # otherwise; the representatives of the residues the window meets
+    # form one range of n
     report = []
-    for residue in sorted(buckets):
-        members = buckets[residue]
-        non_negative = [n for n in members if n >= 0]
-        rep_n = min(non_negative) if non_negative else max(members)
-        rep = rep_n * a
+    for n in range(min(0, max(-bound, bound + 1 - k)), min(bound, k - 1) + 1):
+        rep = n * a
         report.append(
             (rep, ModuleParams(params.alpha + rep, params.beta, params.f, subgroup))
         )
-    report.sort(key=lambda item: item[0])
     return report
 
 
@@ -389,11 +389,12 @@ def intertwiner_check(p1, p2, shift, window):
     """Whether mapping the basis vector at q to the target basis vector at
     q - shift commutes with every window generator action.
 
-    The check walks all generator indices p and sources q with all four
-    indices (source and target on both sides) inside the window and
-    compares the exact coefficients; the I-coefficients force the
-    I-eigenvalues to agree.  Returns False when no off-diagonal
-    comparison is possible, since such a window cannot attest anything.
+    The check walks all pairs of sources q and targets t whose shifted
+    images q - shift and t - shift also lie inside the window and compares
+    the exact coefficients of d(t - q); the I-coefficients force the
+    I-eigenvalues to agree.  Returns False when fewer than two such
+    indices exist, since no off-diagonal comparison can then attest
+    anything.
     """
     if p1.group != p2.group:
         raise GroupMismatchError("cannot compare modules over different groups")
@@ -402,20 +403,14 @@ def intertwiner_check(p1, p2, shift, window):
         raise SubalgebraError("shift %s lies outside the group %s" % (shift, p1.group))
     if p1.f != p2.f:
         return False
-    off_diagonal = 0
-    for q in window.indices():
-        if (q - shift) not in window:
-            continue
-        for p in window.steps():
-            if (q + p) not in window or (q - shift + p) not in window:
-                continue
-            if d_coefficient(p1.alpha, p1.beta, q, p) != d_coefficient(
-                p2.alpha, p2.beta, q - shift, p
+    sources = [q for q in window.indices() if q - shift in window]
+    for q in sources:
+        for t in sources:
+            if d_coefficient(p1.alpha, p1.beta, q, t - q) != d_coefficient(
+                p2.alpha, p2.beta, q - shift, t - q
             ):
                 return False
-            if p != 0:
-                off_diagonal += 1
-    return off_diagonal > 0
+    return len(sources) > 1
 
 
 class ActionTable:
@@ -462,6 +457,18 @@ class ActionTable:
         return "ActionTable(%s, %d entries)" % (self.window, len(self._entries))
 
 
+def _entry_order(item):
+    """Sort key of an ``(generator, source) -> (target, coefficient)`` table
+    item: the printed generator, then the source index."""
+    (key, src), _ = item
+    return str(key), src
+
+
+def _coefficient(key, src, alpha, beta, f):
+    """Unscaled coefficient of a table generator at a source index."""
+    return f if key.kind == "I" else d_coefficient(alpha, beta, src, key.index)
+
+
 def intermediate_series_table(params, window, scales=None):
     """Action table of the module on a window of its own index group.
 
@@ -479,17 +486,13 @@ def intermediate_series_table(params, window, scales=None):
         if missing:
             raise ValueError("scale factor missing for index %s" % missing[0])
     entries = {}
-    for p in window.steps():
-        for src in indices:
-            tgt = src + p
-            if tgt not in window:
-                continue
+    for src in indices:
+        for tgt in indices:
             ratio = c[src] / c[tgt] if c is not None else 1
-            coeff_d = d_coefficient(params.alpha, params.beta, src, p)
-            if coeff_d:
-                entries[(d(p), src)] = (tgt, coeff_d * ratio)
-            if params.f:
-                entries[(I(p), src)] = (tgt, params.f * ratio)
+            for key in (d(tgt - src), I(tgt - src)):
+                coeff = _coefficient(key, src, params.alpha, params.beta, params.f)
+                if coeff:
+                    entries[(key, src)] = (tgt, coeff * ratio)
     return ActionTable(window, entries)
 
 
@@ -509,16 +512,16 @@ def transported_table(params, m, bound):
     window_z = Window(qk(0), bound)
     phi = RescalingMap(m, CENTERLESS)
     M = phi.scale
+    images = {
+        n: [(key, apply_phi(phi, key)) for key in (d(n), I(n))] for n in window_z.steps()
+    }
+    indices = window_z.indices()
     entries = {}
-    for n in window_z.steps():
-        for key in (d(n), I(n)):
-            image = apply_phi(phi, key)
-            for src in window_z.indices():
-                tgt = src + n
-                if tgt not in window_z:
-                    continue
-                result = act(params, image, basis_vector(params, src / M))
-                coeff = result.coefficient(tgt / M)
+    for src in indices:
+        vector = basis_vector(params, src / M)
+        for tgt in indices:
+            for key, image in images[tgt - src]:
+                coeff = act(params, image, vector).coefficient(tgt / M)
                 if coeff:
                     entries[(key, src)] = (tgt, coeff)
     return ActionTable(window_z, entries)
@@ -569,34 +572,23 @@ def _chain_scales(window, edges, base):
     return scales
 
 
-def _verify_table(table, alpha, beta, f, scales):
-    for (key, src), (tgt, coeff) in table.entries.items():
-        expected = f if key.kind == "I" else d_coefficient(alpha, beta, src, key.index)
-        if expected == 0:
-            raise NotIntermediateSeriesError(
-                "entry %s at %s is nonzero where the action must vanish" % (key, src)
-            )
-        if coeff != expected * scales[src] / scales[tgt]:
+def _expected(key, src, alpha, beta, f):
+    expected = _coefficient(key, src, alpha, beta, f)
+    if expected == 0:
+        raise NotIntermediateSeriesError(
+            "entry %s at %s is nonzero where the action must vanish" % (key, src)
+        )
+    return expected
+
+
+def _verify_table(entries, alpha, beta, f, scales):
+    for (key, src), (tgt, coeff) in entries.items():
+        expected = _expected(key, src, alpha, beta, f) * scales[src] / scales[tgt]
+        if coeff != expected:
             raise NotIntermediateSeriesError(
                 "entry %s at %s has coefficient %s, expected %s"
-                % (key, src, coeff, expected * scales[src] / scales[tgt])
+                % (key, src, coeff, expected)
             )
-
-
-def _try_chain_and_verify(table, alpha, beta, f, i_edges, base):
-    edges = dict(i_edges)
-    for (key, src), (tgt, coeff) in table.entries.items():
-        if key.kind != "d" or key.index == 0:
-            continue
-        expected = d_coefficient(alpha, beta, src, key.index)
-        if expected == 0:
-            raise NotIntermediateSeriesError(
-                "entry %s at %s is nonzero where the action must vanish" % (key, src)
-            )
-        edges[(src, tgt)] = coeff / expected
-    scales = _chain_scales(table.window, edges, base)
-    _verify_table(table, alpha, beta, f, scales)
-    return scales
 
 
 def recover_params(table):
@@ -604,12 +596,14 @@ def recover_params(table):
     action table with one-dimensional weight spaces.
 
     alpha comes from any d(0) eigenvalue minus its index and f from the
-    I(0) eigenvalue; the scale chain is propagated through I-generator
-    entries when f is nonzero and through non-vanishing d-generator
-    entries otherwise, and every remaining entry is checked against the
-    module formulas.  Inconsistent tables raise
-    NotIntermediateSeriesError, tables too sparse to determine the data
-    raise AmbiguousTableError.
+    I(0) eigenvalue.  When f is nonzero and the I-generator entries
+    connect the window, they fix the scale chain and the first d-entry
+    fixes beta.  Otherwise beta is a root of the loop product of two
+    opposite d-steps, and each candidate root builds one scale chain from
+    the I-entries and the non-vanishing d-entries.  Either way every entry
+    is then checked once against the module formulas.  Inconsistent
+    tables raise NotIntermediateSeriesError, tables too sparse to
+    determine the data raise AmbiguousTableError.
     """
     window = table.window
     entries = table.entries
@@ -641,68 +635,51 @@ def recover_params(table):
         )
 
     base = min(window.indices())
-    i_edges = {}
-    if f:
-        for (key, src), (tgt, coeff) in entries.items():
-            if key.kind == "I" and key.index != 0:
-                i_edges[(src, tgt)] = coeff / f
+    # I entries exist only when f is nonzero
+    i_edges = {(src, tgt): coeff / f for (key, src), (tgt, coeff) in entries.items()
+               if key.kind == "I" and key.index != 0}
+    d_steps = [(key, src, tgt, coeff)
+               for (key, src), (tgt, coeff) in sorted(entries.items(), key=_entry_order)
+               if key.kind == "d" and key.index != 0]
 
-    candidates = []
     if f:
-        # scales first from the I-chain, then beta from any d(p) entry
         try:
             scales = _chain_scales(window, i_edges, base)
         except AmbiguousTableError:
             scales = None
-        if scales is not None:
-            for (key, src), (tgt, coeff) in sorted(
-                entries.items(), key=lambda item: (str(item[0][0]), item[0][1])
-            ):
-                if key.kind == "d" and key.index != 0:
-                    beta = (coeff * scales[tgt] / scales[src] - alpha - src) / key.index
-                    candidates.append(beta)
-                    break
-    if not candidates:
-        # beta from a scale-free loop product of two opposite d-steps
-        loop = None
-        for (key, src), (tgt, coeff) in sorted(
-            entries.items(), key=lambda item: (str(item[0][0]), item[0][1])
-        ):
-            if key.kind != "d" or key.index == 0:
-                continue
-            partner = entries.get((d(-key.index), tgt))
-            if partner is None:
-                continue
-            back_tgt, back_coeff = partner
-            if back_tgt == src:
-                loop = (key.index, src, coeff * back_coeff)
-                break
-        if loop is None:
-            raise AmbiguousTableError(
-                "no d-generator data determines the coefficient slope"
-            )
-        p, q, product = loop
-        a_q = alpha + q
-        curvature = (product - a_q * a_q - p * a_q) / (p * p)
-        disc = _rational_sqrt(1 - 4 * curvature)
-        if disc is None:
-            raise NotIntermediateSeriesError(
-                "loop products admit no rational coefficient slope"
-            )
-        candidates = sorted({(1 - disc) / 2, (1 + disc) / 2})
+        if scales is not None and d_steps:
+            key, src, tgt, coeff = d_steps[0]
+            beta = (coeff * scales[tgt] / scales[src] - alpha - src) / key.index
+            _verify_table(entries, alpha, beta, f, scales)
+            return ModuleParams(alpha, beta, f, window.group), scales
 
-    last_error = None
-    for beta in candidates:
+    # beta from a scale-free loop product of two opposite d-steps; the
+    # grading check makes the reverse step land back on the source
+    for key, q, tgt, coeff in d_steps:
+        back = entries.get((d(-key.index), tgt))
+        if back is not None:
+            break
+    else:
+        raise AmbiguousTableError("no d-generator data determines the coefficient slope")
+    p, a_q = key.index, alpha + q
+    curvature = (coeff * back[1] - a_q * a_q - p * a_q) / (p * p)
+    disc = _rational_sqrt(1 - 4 * curvature)
+    if disc is None:
+        raise NotIntermediateSeriesError(
+            "loop products admit no rational coefficient slope"
+        )
+    for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
         try:
-            scales = _try_chain_and_verify(table, alpha, beta, f, i_edges, base)
+            edges = dict(i_edges)
+            for key, src, tgt, coeff in d_steps:
+                edges[(src, tgt)] = coeff / _expected(key, src, alpha, beta, f)
+            scales = _chain_scales(window, edges, base)
+            _verify_table(entries, alpha, beta, f, scales)
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
-            last_error = exc
+            error = exc
             continue
-        params = ModuleParams(alpha, beta, f, window.group)
-        return params, scales
-    raise last_error if last_error is not None else AmbiguousTableError(
-        "no candidate coefficient slope"
-    )
+        return ModuleParams(alpha, beta, f, window.group), scales
+    raise error
 
 
 def _proportionality(candidate, reference):

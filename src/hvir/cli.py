@@ -42,7 +42,7 @@ from .analysis import (
     scan_details,
 )
 from .errors import HvirError, ParseError
-from .groups import Cyclic, qk
+from .groups import qk
 from .intermediate import act, basis_vector, classify, iso_check
 from .parsing import parse_element, parse_group, parse_params, parse_rational, parse_table
 
@@ -62,12 +62,6 @@ def _emit(args, text_lines, **report_fields):
     else:
         for line in text_lines:
             print(line)
-
-
-def _window_for(params, bound):
-    if not isinstance(params.group, Cyclic):
-        raise ValueError("windows require a cyclic index group, got %s" % params.group)
-    return Window(params.group, bound)
 
 
 def _cmd_bracket(args):
@@ -189,7 +183,7 @@ def _parse_seeds(text):
 
 def _cmd_closure(args):
     params = parse_params(args.params)
-    window = _window_for(params, args.window)
+    window = Window(params.group, args.window)
     seeds = [basis_vector(params, q) for q in _parse_seeds(args.seed)]
     if not seeds:
         raise ParseError("closure needs at least one seed index")
@@ -212,7 +206,7 @@ def _cmd_closure(args):
 
 def _cmd_scan(args):
     params = parse_params(args.params)
-    window = _window_for(params, args.window)
+    window = Window(params.group, args.window)
     classification, dims, proper = scan_details(params, window)
     dims_text = ", ".join("%s:%d" % (q, dim) for q, dim in sorted(dims.items()))
     lines = [
@@ -235,7 +229,7 @@ def _cmd_scan(args):
 
 def _cmd_restrict(args):
     params = parse_params(args.params)
-    window = _window_for(params, args.window)
+    window = Window(params.group, args.window)
     subgroup = parse_group(args.subgroup)
     report = restriction_report(params, subgroup, window)
     lines = ["%s -> %s" % (rep, sub_params) for rep, sub_params in report]

@@ -55,7 +55,8 @@ def as_fraction(value):
 
 
 # Strong-probable-prime tests to the first 13 prime bases decide primality
-# exactly below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+# exactly below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); larger
+# numbers are rejected, so no input falls back to trial division.
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SPRP_EXACT_BELOW = 3317044064679887385961981
 
@@ -76,24 +77,16 @@ def _is_strong_probable_prime(n, a):
 
 
 def _is_prime(n):
-    """Exact primality: strong-probable-prime tests below psi_13, trial
-    division above it."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if isinstance(n, int) and n < _SPRP_EXACT_BELOW:
-        if n <= _SPRP_BASES[-1]:
-            return n in _SPRP_BASES
-        return all(_is_strong_probable_prime(n, a) for a in _SPRP_BASES)
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Exact primality by strong-probable-prime tests; numbers at or above
+    psi_13 raise ValueError."""
+    if n >= _SPRP_EXACT_BELOW:
+        raise ValueError(
+            "%d is at or above psi_13 = %d, the cap for supernatural primes"
+            % (n, _SPRP_EXACT_BELOW)
+        )
+    if n <= _SPRP_BASES[-1]:
+        return n in _SPRP_BASES
+    return all(_is_strong_probable_prime(n, a) for a in _SPRP_BASES)
 
 
 def _factorint(n):
@@ -108,6 +101,18 @@ def _factorint(n):
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def _check_prime_powers(items):
+    """Every ``(prime, exponent)`` pair needs an int prime and a positive
+    int or infinite exponent."""
+    for p, e in items:
+        if not isinstance(p, int):
+            raise TypeError("supernatural primes must be ints, got %r" % (p,))
+        if not _is_prime(p):
+            raise ValueError("%d is not prime" % p)
+        if e != inf and not (isinstance(e, int) and e >= 1):
+            raise ValueError("exponent for %d must be a positive integer or inf" % p)
 
 
 class SubgroupSpec:
@@ -150,11 +155,7 @@ class Supernatural(SubgroupSpec):
         primes = [p for p, _ in items]
         if primes != sorted(set(primes)):
             raise ValueError("supernatural primes must be distinct and sorted")
-        for p, e in items:
-            if not _is_prime(p):
-                raise ValueError("%r is not prime" % (p,))
-            if e != inf and not (isinstance(e, int) and e >= 1):
-                raise ValueError("exponent for %d must be a positive integer or inf" % p)
+        _check_prime_powers(items)
         if all(e != inf for _, e in items):
             raise ValueError("all-finite exponent maps are cyclic; use supernatural()")
         object.__setattr__(self, "exponents", items)
@@ -187,12 +188,9 @@ def supernatural(exponents):
     items = sorted(dict(exponents).items())
     if any(e == inf for _, e in items):
         return Supernatural(tuple(items))
+    _check_prime_powers(items)
     denom = 1
     for p, e in items:
-        if not _is_prime(p):
-            raise ValueError("%r is not prime" % (p,))
-        if not (isinstance(e, int) and e >= 1):
-            raise ValueError("exponent for %d must be a positive integer or inf" % p)
         denom *= p ** e
     return Cyclic(Fraction(1, denom))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import inf
 
 from .algebra import CD, CDI, CI, AlgebraElement, I, d
-from .analysis import ActionTable, Window
+from .analysis import ActionTable, Window, _entry_order
 from .errors import ParseError
 from .groups import FULL_Q, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
@@ -33,6 +33,11 @@ __all__ = [
     "parse_table",
     "format_table",
 ]
+
+
+# Longest digit run accepted in one rational literal: Python's default
+# limit for int-string conversion, so every literal it converts parses.
+MAX_LITERAL_DIGITS = 4300
 
 
 class _Scanner:
@@ -64,6 +69,12 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             self.error("expected a digit")
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            self.error(
+                "literal of %d digits exceeds the cap of %d digits"
+                % (self.pos - start, MAX_LITERAL_DIGITS),
+                start,
+            )
         return self.text[start:self.pos]
 
     def rational(self):
@@ -276,8 +287,6 @@ def parse_table(text):
 def format_table(table):
     """Inverse of :func:`parse_table` for the same file format."""
     lines = ["window %s %d" % (table.window.group, table.window.bound)]
-    for (key, src), (tgt, coeff) in sorted(
-        table.entries.items(), key=lambda item: (str(item[0][0]), item[0][1])
-    ):
+    for (key, src), (tgt, coeff) in sorted(table.entries.items(), key=_entry_order):
         lines.append("%s %s %s %s" % (key, src, tgt, coeff))
     return "\n".join(lines) + "\n"

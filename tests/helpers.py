@@ -1,27 +1,39 @@
 """Shared test utilities: seeded random rationals and module parameters,
-the Fraction-dict oracle for weight vectors and the module action, and
-the exact-elimination oracle for the window engine."""
+the Fraction-dict oracle for weight vectors and the module action, the
+exact-elimination oracle for the window engine, and the one-pass-per-entry
+oracles for the action-table path."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from hvir import (
+    CENTERLESS,
+    ActionTable,
+    AmbiguousTableError,
     Cyclic,
     GroupMismatchError,
     I,
     ModuleParams,
     NotIntermediateSeriesError,
+    RescalingMap,
     SubalgebraError,
     Subspace,
     VERDICT_CODIM_ONE,
     VERDICT_IRREDUCIBLE,
     VERDICT_TRIVIAL_SUB,
+    Window,
+    act,
+    apply_phi,
     as_fraction,
+    basis_vector,
     contains,
     d,
     is_subgroup,
+    qk,
 )
 from hvir.algebra import _as_element
+from hvir.intermediate import d_coefficient
 
 
 def rng(seed):
@@ -225,3 +237,238 @@ def reference_scan(params, window):
     if stray is not None:
         raise NotIntermediateSeriesError("seed at %s matches no verdict" % stray)
     return VERDICT_IRREDUCIBLE, dims, None
+
+
+def reference_window_contains(window, q):
+    """Window membership with a Fraction division, the test that
+    ``Window.__contains__`` replaced by one integer divmod."""
+    ratio = as_fraction(q) / window.step
+    return ratio.denominator == 1 and abs(ratio) <= window.bound
+
+
+def reference_series_table(params, window, scales=None):
+    """Oracle for ``intermediate_series_table``: every generator index of
+    ``window.steps()`` applied to every source, keeping the targets that
+    stay inside the window."""
+    if not is_subgroup(window.group, params.group):
+        raise GroupMismatchError("window group is not inside the module group")
+    indices = window.indices()
+    c = None
+    if scales is not None:
+        c = {as_fraction(q): as_fraction(v) for q, v in dict(scales).items()}
+        if any(v == 0 for v in c.values()) or any(q not in c for q in indices):
+            raise ValueError("scale factors must be nonzero and complete")
+    entries = {}
+    for p in window.steps():
+        for src in indices:
+            tgt = src + p
+            if not reference_window_contains(window, tgt):
+                continue
+            ratio = c[src] / c[tgt] if c is not None else 1
+            coeff_d = d_coefficient(params.alpha, params.beta, src, p)
+            if coeff_d:
+                entries[(d(p), src)] = (tgt, coeff_d * ratio)
+            if params.f:
+                entries[(I(p), src)] = (tgt, params.f * ratio)
+    return ActionTable(window, entries)
+
+
+def reference_transported_table(params, m, bound):
+    """Oracle for ``transported_table``: one basis vector per table entry."""
+    if params.group != qk(m):
+        raise GroupMismatchError("transport needs the index group qk(m)")
+    window_z = Window(qk(0), bound)
+    phi = RescalingMap(m, CENTERLESS)
+    M = phi.scale
+    entries = {}
+    for n in window_z.steps():
+        for key in (d(n), I(n)):
+            image = apply_phi(phi, key)
+            for src in window_z.indices():
+                tgt = src + n
+                if not reference_window_contains(window_z, tgt):
+                    continue
+                result = act(params, image, basis_vector(params, src / M))
+                coeff = result.coefficient(tgt / M)
+                if coeff:
+                    entries[(key, src)] = (tgt, coeff)
+    return ActionTable(window_z, entries)
+
+
+def reference_intertwiner_check(p1, p2, shift, window):
+    """Oracle for ``intertwiner_check``: every generator index of
+    ``window.steps()`` at every source, counting off-diagonal comparisons."""
+    if p1.group != p2.group:
+        raise GroupMismatchError("cannot compare modules over different groups")
+    shift = as_fraction(shift)
+    if not contains(p1.group, shift):
+        raise SubalgebraError("shift outside the group")
+    if p1.f != p2.f:
+        return False
+
+    def inside(q):
+        return reference_window_contains(window, q)
+
+    off_diagonal = 0
+    for q in window.indices():
+        if not inside(q - shift):
+            continue
+        for p in window.steps():
+            if not inside(q + p) or not inside(q - shift + p):
+                continue
+            if d_coefficient(p1.alpha, p1.beta, q, p) != d_coefficient(
+                p2.alpha, p2.beta, q - shift, p
+            ):
+                return False
+            if p != 0:
+                off_diagonal += 1
+    return off_diagonal > 0
+
+
+def reference_restriction_report(params, subgroup, window):
+    """Oracle for ``restriction_report`` from the definition: bucket the
+    window positions by residue mod k and take the smallest non-negative
+    member of each bucket, else its largest member."""
+    if window.group != params.group or not isinstance(subgroup, Cyclic):
+        raise GroupMismatchError("restriction needs a cyclic subgroup on the window group")
+    if not is_subgroup(subgroup, params.group):
+        raise GroupMismatchError("not a subgroup")
+    a = window.step
+    k = int(subgroup.generator / a)
+    buckets = {}
+    for n in range(-window.bound, window.bound + 1):
+        buckets.setdefault(n % k, []).append(n)
+    report = []
+    for members in buckets.values():
+        non_negative = [n for n in members if n >= 0]
+        rep = (min(non_negative) if non_negative else max(members)) * a
+        report.append((rep, ModuleParams(params.alpha + rep, params.beta, params.f, subgroup)))
+    return sorted(report, key=lambda item: item[0])
+
+
+def _reference_sqrt(x):
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _reference_chain_scales(window, edges, base):
+    adjacency = {}
+    for (src, tgt), ratio in edges.items():
+        adjacency.setdefault(src, []).append((tgt, ratio))
+        adjacency.setdefault(tgt, []).append((src, 1 / ratio))
+    scales = {base: Fraction(1)}
+    frontier = [base]
+    while frontier:
+        new_frontier = []
+        for src in frontier:
+            for tgt, ratio in sorted(adjacency.get(src, [])):
+                value = scales[src] / ratio
+                if tgt in scales:
+                    if scales[tgt] != value:
+                        raise NotIntermediateSeriesError("inconsistent scale chain")
+                    continue
+                scales[tgt] = value
+                new_frontier.append(tgt)
+        frontier = new_frontier
+    if any(q not in scales for q in window.indices()):
+        raise AmbiguousTableError("entries do not connect the window")
+    return scales
+
+
+def _reference_verify_table(table, alpha, beta, f, scales):
+    for (key, src), (tgt, coeff) in table.entries.items():
+        expected = f if key.kind == "I" else d_coefficient(alpha, beta, src, key.index)
+        if expected == 0:
+            raise NotIntermediateSeriesError("entry where the action must vanish")
+        if coeff != expected * scales[src] / scales[tgt]:
+            raise NotIntermediateSeriesError("entry with the wrong coefficient")
+
+
+def _reference_try_chain_and_verify(table, alpha, beta, f, i_edges, base):
+    edges = dict(i_edges)
+    for (key, src), (tgt, coeff) in table.entries.items():
+        if key.kind != "d" or key.index == 0:
+            continue
+        expected = d_coefficient(alpha, beta, src, key.index)
+        if expected == 0:
+            raise NotIntermediateSeriesError("entry where the action must vanish")
+        edges[(src, tgt)] = coeff / expected
+    scales = _reference_chain_scales(table.window, edges, base)
+    _reference_verify_table(table, alpha, beta, f, scales)
+    return scales
+
+
+def reference_recover_params(table):
+    """Oracle for ``recover_params``: the I-chain first, then beta from the
+    first d-entry, and the scale chain rebuilt from the I- and d-edges for
+    every candidate slope before the entries are verified."""
+    window = table.window
+    entries = table.entries
+    for (key, src), (tgt, _) in entries.items():
+        if tgt != src + key.index:
+            raise NotIntermediateSeriesError("grading violated")
+    d_zero = {src: coeff for (key, src), (_, coeff) in entries.items()
+              if key.kind == "d" and key.index == 0}
+    if not d_zero:
+        raise AmbiguousTableError("no d(0) entries")
+    alphas = {coeff - src for src, coeff in d_zero.items()}
+    if len(alphas) != 1:
+        raise NotIntermediateSeriesError("d(0) eigenvalues disagree")
+    alpha = alphas.pop()
+    fs = {coeff for (key, _), (_, coeff) in entries.items()
+          if key.kind == "I" and key.index == 0}
+    if len(fs) > 1:
+        raise NotIntermediateSeriesError("I(0) eigenvalues disagree")
+    f = fs.pop() if fs else Fraction(0)
+    if f == 0 and any(key.kind == "I" for (key, _) in entries):
+        raise NotIntermediateSeriesError("I entries without an I(0) eigenvalue")
+    base = min(window.indices())
+    i_edges = {}
+    if f:
+        for (key, src), (tgt, coeff) in entries.items():
+            if key.kind == "I" and key.index != 0:
+                i_edges[(src, tgt)] = coeff / f
+    ordered = sorted(entries.items(), key=lambda item: (str(item[0][0]), item[0][1]))
+    candidates = []
+    if f:
+        try:
+            scales = _reference_chain_scales(window, i_edges, base)
+        except AmbiguousTableError:
+            scales = None
+        if scales is not None:
+            for (key, src), (tgt, coeff) in ordered:
+                if key.kind == "d" and key.index != 0:
+                    candidates.append(
+                        (coeff * scales[tgt] / scales[src] - alpha - src) / key.index
+                    )
+                    break
+    if not candidates:
+        loop = None
+        for (key, src), (tgt, coeff) in ordered:
+            if key.kind != "d" or key.index == 0:
+                continue
+            partner = entries.get((d(-key.index), tgt))
+            if partner is not None and partner[0] == src:
+                loop = (key.index, src, coeff * partner[1])
+                break
+        if loop is None:
+            raise AmbiguousTableError("no d-generator data determines the slope")
+        p, q, product = loop
+        a_q = alpha + q
+        disc = _reference_sqrt(1 - 4 * (product - a_q * a_q - p * a_q) / (p * p))
+        if disc is None:
+            raise NotIntermediateSeriesError("no rational coefficient slope")
+        candidates = sorted({(1 - disc) / 2, (1 + disc) / 2})
+    last_error = None
+    for beta in candidates:
+        try:
+            scales = _reference_try_chain_and_verify(table, alpha, beta, f, i_edges, base)
+        except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
+            last_error = exc
+            continue
+        return ModuleParams(alpha, beta, f, window.group), scales
+    raise last_error

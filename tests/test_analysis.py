@@ -78,6 +78,12 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(supernatural({2: float("inf")}), 3)
 
+    def test_cyclic_message_names_the_group(self):
+        from hvir import FULL_Q
+
+        with pytest.raises(ValueError, match="^windows require a cyclic index group, got Q$"):
+            Window(FULL_Q, 3)
+
     def test_steps_cover_all_differences(self):
         w = window_z(2)
         diffs = {a - b for a in w.indices() for b in w.indices()}
@@ -653,6 +659,22 @@ class TestSubspaceReduction:
             sub.insert({1.0: 1})
         with pytest.raises(TypeError):
             sub.contains({F(1): 0.5})
+
+    def test_indices_outside_the_group_rejected(self):
+        p = ModuleParams(F(0), F(1), F(0), Z)
+        sub = Subspace(p)
+        for entries in ({F(1, 2): 1}, {F(1): 1, F(1, 3): 2}):
+            with pytest.raises(SubalgebraError):
+                WeightVector(p, entries)
+            with pytest.raises(SubalgebraError):
+                sub.insert(entries)
+            with pytest.raises(SubalgebraError):
+                sub.contains(entries)
+        assert sub.dimension == 0
+        # a zero coefficient carries no index, as in WeightVector
+        assert not sub.insert({F(1, 2): 0})
+        with pytest.raises(ValueError):
+            closure(p, window_z(2), [{F(1, 2): 1}])
 
 
 class TestClosureOracle:

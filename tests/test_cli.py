@@ -213,6 +213,36 @@ class TestCaps:
         assert status == 1
         assert err == "error[invalid-input]: window bound 100000000 exceeds the cap of 2048\n"
 
+    def test_supernatural_prime_cap(self, capsys):
+        began = time.perf_counter()
+        status, out, err = run_cli(capsys, "classify", "0,0,1@sn:3317044064679887385962123^inf")
+        assert time.perf_counter() - began < 2.0
+        assert status == 1 and out == ""
+        assert err == (
+            "error[syntax]: bad supernatural spec 'sn:3317044064679887385962123^inf': "
+            "3317044064679887385962123 is at or above psi_13 = 3317044064679887385961981, "
+            "the cap for supernatural primes\n"
+        )
+
+    @pytest.mark.parametrize("argv,digits,offset", [
+        (["classify", "1" + "0" * 5000 + ",1,0@Q"], 5001, 1),
+        (["classify", "0,1/" + "7" * 4301 + ",0@Q"], 4301, 3),
+        (["bracket", "1" * 5000 + "*d(1)", "d(2)"], 5000, 1),
+        (["act", "0,1,0@Q", "d(1)", "--at", "-" + "9" * 4301], 4301, 2),
+    ])
+    def test_literal_digit_cap(self, capsys, argv, digits, offset):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err == (
+            "error[syntax]: literal of %d digits exceeds the cap of 4300 digits "
+            "at offset %d\n" % (digits, offset)
+        )
+
+    def test_window_needs_a_cyclic_group(self, capsys):
+        status, out, err = run_cli(capsys, "scan", "0,1,0@Q", "--window", "4")
+        assert status == 1 and out == ""
+        assert err == "error[invalid-input]: windows require a cyclic index group, got Q\n"
+
     def test_values_at_the_caps_are_accepted(self, capsys):
         status, out, _ = run_cli(capsys, "phi", "--m", "500", "--variant", "exact", "d(0)")
         assert status == 0 and "*CD" in out
@@ -221,6 +251,8 @@ class TestCaps:
         status, out, _ = run_cli(
             capsys, "jacobi", "--window", "500:2048", "--samples", "3", "--seed", "2")
         assert status == 0 and out == "jacobi: OK (3 triples checked)\n"
+        status, out, _ = run_cli(capsys, "classify", "1" + "0" * 4299 + ",1,0@Q")
+        assert status == 0 and out.startswith("verdict: ")
 
 
 class TestJacobiSampling:

@@ -28,7 +28,13 @@ from hvir import (
     subgroup_sum,
     supernatural,
 )
-from hvir.groups import MAX_FACTORIAL_ORDER, _from_profile, _is_prime, _profile
+from hvir.groups import (
+    MAX_FACTORIAL_ORDER,
+    _SPRP_EXACT_BELOW,
+    _from_profile,
+    _is_prime,
+    _profile,
+)
 
 F = Fraction
 
@@ -290,6 +296,15 @@ class TestCanonicalForms:
         with pytest.raises(TypeError):
             contains(FULL_Q, 0.5)
 
+    @pytest.mark.parametrize("exponents", [{2.0: inf}, {2.0: 3}, {2: 1, 3.0: inf}])
+    def test_float_primes_rejected(self, exponents):
+        with pytest.raises(TypeError):
+            supernatural(exponents)
+
+    def test_direct_float_prime_rejected(self):
+        with pytest.raises(TypeError):
+            Supernatural(((2.0, inf),))
+
     def test_is_subgroup_shapes(self):
         assert is_subgroup(TRIVIAL, cyclic(F(1, 2)))
         assert is_subgroup(cyclic(F(1, 2)), supernatural({2: inf}))
@@ -343,3 +358,21 @@ class TestPrimality:
     def test_large_prime_in_supernatural_spec(self):
         group = supernatural({2 ** 61 - 1: inf})
         assert contains(group, F(1, (2 ** 61 - 1) ** 3))
+
+    @pytest.mark.parametrize("n", [_SPRP_EXACT_BELOW, 3317044064679887385962123, 2 ** 89 - 1])
+    def test_numbers_at_or_above_psi_13_rejected(self, n):
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="psi_13 = 3317044064679887385961981"):
+            _is_prime(n)
+        with pytest.raises(ValueError, match="the cap for supernatural primes"):
+            supernatural({n: inf})
+        with pytest.raises(ValueError, match="the cap for supernatural primes"):
+            supernatural({n: 2})
+        assert time.perf_counter() - began < 1.0
+
+    def test_largest_prime_below_the_cap_accepted(self):
+        # psi_13 - 1 is even; the largest prime below psi_13 is found by search
+        n = _SPRP_EXACT_BELOW - 2
+        while not _is_prime(n):
+            n -= 2
+        assert supernatural({n: inf}).exponent_map() == {n: inf}

@@ -38,6 +38,13 @@ class TestRational:
     def test_integer(self):
         assert parse_rational("-7") == F(-7)
 
+    def test_literals_up_to_the_digit_cap(self):
+        assert parse_rational("-" + "9" * 4300) == -(10 ** 4300 - 1)
+        assert parse_rational("1/" + "0" * 4299 + "1") == F(1)
+        with pytest.raises(ParseError, match="literal of 4301 digits exceeds the cap of "
+                                             "4300 digits at offset 4$"):
+            parse_rational("12/" + "3" * 4301)
+
     def test_fraction(self):
         assert parse_rational("22/8") == F(11, 4)
 
