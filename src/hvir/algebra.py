@@ -46,10 +46,9 @@ __all__ = [
 ]
 
 _CENTRAL_KINDS = ("CD", "CDI", "CI")
-# storage order: central symbols, then d(g) by index, then I(g) by index
-_CANONICAL_RANK = {"CD": 0, "CDI": 1, "CI": 2, "d": 3, "I": 4}
-# print order: d(g), I(g), then central symbols
-_DISPLAY_RANK = {"d": 0, "I": 1, "CD": 2, "CDI": 3, "CI": 4}
+# the one term order, used both to store and to print: d(g) by index,
+# I(g) by index, then CD, CDI, CI
+_RANK = {"d": 0, "I": 1, "CD": 2, "CDI": 3, "CI": 4}
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,6 @@ class BasisKey:
     @property
     def is_central(self):
         return self.index is None
-
-    def _canonical_key(self):
-        return (_CANONICAL_RANK[self.kind], self.index or 0)
-
-    def _display_key(self):
-        return (_DISPLAY_RANK[self.kind], self.index or 0)
 
     def __str__(self):
         if self.is_central:
@@ -112,7 +105,11 @@ def _signed_terms(terms):
 
 class AlgebraElement:
     """Finite linear combination of basis symbols, stored without zeros
-    and in a fixed canonical key order."""
+    and in the term order, which is also the print order.
+
+    The constructor is the one place that sums terms, drops zeros and
+    orders keys; every operation below hands it its terms.
+    """
 
     __slots__ = ("_terms",)
 
@@ -123,17 +120,10 @@ class AlgebraElement:
             if not isinstance(key, BasisKey):
                 raise TypeError("term keys must be BasisKey, got %r" % (key,))
             coeff = as_fraction(coeff)
-            if coeff == 0:
-                continue
-            total = acc.get(key, 0) + coeff
-            if total == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        ordered = {}
-        for key in sorted(acc, key=BasisKey._canonical_key):
-            ordered[key] = acc[key]
-        self._terms = ordered
+            if coeff:
+                acc[key] = acc.get(key, 0) + coeff
+        order = sorted(acc, key=lambda k: (_RANK[k.kind], k.index or 0))
+        self._terms = {key: acc[key] for key in order if acc[key]}
 
     @classmethod
     def basis(cls, key, coeff=1):
@@ -163,21 +153,15 @@ class AlgebraElement:
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return AlgebraElement(merged)
+        return AlgebraElement([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, 0) - coeff
-        return AlgebraElement(merged)
+        return self + -other
 
     def __neg__(self):
-        return AlgebraElement({k: -c for k, c in self._terms.items()})
+        return self * -1
 
     def __mul__(self, scalar):
         scalar = as_fraction(scalar)
@@ -192,8 +176,7 @@ class AlgebraElement:
         return AlgebraElement({k: c for k, c in self._terms.items() if not k.is_central})
 
     def __str__(self):
-        keys = sorted(self._terms, key=BasisKey._display_key)
-        return _signed_terms((str(key), self._terms[key]) for key in keys)
+        return _signed_terms((str(key), c) for key, c in self._terms.items())
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self
@@ -243,17 +226,12 @@ def bracket(x, y):
     """Bilinear extension of the basis bracket; central terms die."""
     x = _as_element(x)
     y = _as_element(y)
-    acc = {}
-    for k1, c1 in x._terms.items():
-        if k1.is_central:
-            continue
-        for k2, c2 in y._terms.items():
-            if k2.is_central:
-                continue
-            scale = c1 * c2
-            for key, coeff in _basis_bracket(k1, k2):
-                acc[key] = acc.get(key, 0) + scale * coeff
-    return AlgebraElement(acc)
+    return AlgebraElement(
+        (key, c1 * c2 * coeff)
+        for k1, c1 in x._terms.items() if not k1.is_central
+        for k2, c2 in y._terms.items() if not k2.is_central
+        for key, coeff in _basis_bracket(k1, k2)
+    )
 
 
 def jacobiator(x, y, z):
@@ -331,37 +309,27 @@ def apply_phi(rescaling, x):
     which the test suite checks exhaustively on basis pairs.
     """
     x = _as_element(x)
-    M = rescaling.scale
     exact = rescaling.variant == EXACT_CENTRAL
-    acc = {}
+    # checked first: a central term is reported before any index error
+    if not exact and any(key.is_central for key in x._terms):
+        raise CentralTermError("the centerless rescaling is undefined on central elements")
+    return AlgebraElement(_phi_terms(x, rescaling.scale, exact))
 
-    def add(key, coeff):
-        acc[key] = acc.get(key, 0) + coeff
 
+def _phi_terms(x, M, exact):
+    """The (key, coefficient) pairs of the rescaled image of ``x``."""
+    central_scale = {"CD": 1 / M, "CDI": 1, "CI": M}
     for key, coeff in x._terms.items():
-        if key.is_central:
-            if not exact:
-                raise CentralTermError(
-                    "the centerless rescaling is undefined on central elements"
-                )
-            if key.kind == "CD":
-                add(CD, coeff / M)
-            elif key.kind == "CDI":
-                add(CDI, coeff)
-            else:
-                add(CI, coeff * M)
-            continue
         n = key.index
-        if n.denominator != 1:
-            raise IndexDomainError(
-                "rescaling domain is integer indices, got %s" % n
-            )
-        if key.kind == "d":
-            add(d(n / M), coeff * M)
+        if n is None:
+            yield key, coeff * central_scale[key.kind]
+        elif n.denominator != 1:
+            raise IndexDomainError("rescaling domain is integer indices, got %s" % n)
+        elif key.kind == "d":
+            yield d(n / M), coeff * M
             if exact and n == 0:
-                add(CD, coeff * (M * M - 1) / (24 * M))
+                yield CD, coeff * (M * M - 1) / (24 * M)
         else:
-            add(I(n / M), coeff * M)
+            yield I(n / M), coeff * M
             if exact and n == 0:
-                add(CDI, coeff * (1 - M))
-    return AlgebraElement(acc)
+                yield CDI, coeff * (1 - M)

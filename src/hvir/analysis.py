@@ -684,18 +684,11 @@ def recover_params(table):
 
 def _proportionality(candidate, reference):
     """The constant c with candidate == c * reference, if one exists."""
-    ce = candidate.entries
-    re = reference.entries
-    if not re or set(ce) != set(re):
+    if reference.is_zero():
         return None
-    ratio = None
-    for q, rv in re.items():
-        r = ce[q] / rv
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
+    q, rv = next(iter(reference.entries.items()))
+    ratio = candidate.coefficient(q) / rv
+    return ratio if candidate == reference * ratio else None
 
 
 def align_extension(reference, candidate):

@@ -42,9 +42,9 @@ from .analysis import (
     scan_details,
 )
 from .errors import HvirError, ParseError
-from .groups import qk
 from .intermediate import act, basis_vector, classify, iso_check
-from .parsing import parse_element, parse_group, parse_params, parse_rational, parse_table
+from .parsing import (parse_element, parse_group, parse_params, parse_qk_window,
+                      parse_rational, parse_table)
 
 _REPORT_KEYS = ("params", "window", "verdict", "dimensions", "basisIndices", "cosets")
 
@@ -102,12 +102,7 @@ def _unrank_triple(rank, size):
 
 
 def _cmd_jacobi(args):
-    try:
-        k_text, bound_text = args.window.split(":", 1)
-        k, bound = int(k_text), int(bound_text)
-    except ValueError:
-        raise ParseError("jacobi window must be <k>:<bound> with integers")
-    window = Window(qk(k), bound)
+    window = parse_qk_window(args.window)
     keys = _basis_keys(window)
     triples = combinations(keys, 3)
     if args.samples is not None:
@@ -330,6 +325,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every input is capped, so every printed value has bounded size: lift
+    # Python's int-string limit (there from 3.10.7 on) so none fails to print
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_int_digits(0)
     try:
         return args.handler(args)
     except HvirError as exc:
@@ -338,6 +338,8 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error[invalid-input]: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        set_int_digits(int_digits)
 
 
 if __name__ == "__main__":

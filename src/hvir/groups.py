@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, inf, lcm
+from math import factorial, gcd, inf, lcm, prod
 
 __all__ = [
     "SubgroupSpec",
@@ -90,7 +90,8 @@ def _is_prime(n):
 
 
 def _factorint(n):
-    """Prime factorization by trial division; denominators here are small."""
+    """Prime factorization by trial division, used only for the part of a
+    cyclic denominator that a supernatural sum has not divided out."""
     factors = {}
     d = 2
     while d * d <= n:
@@ -182,6 +183,12 @@ def cyclic(generator):
     return Cyclic(as_fraction(generator))
 
 
+# An all-finite supernatural map collapses to the cyclic group of 1/prod(p**e),
+# whose denominator, like a rational literal, has at most 4300 digits.
+MAX_DENOMINATOR_DIGITS = 4300
+_DENOMINATOR_LIMIT = 10 ** MAX_DENOMINATOR_DIGITS
+
+
 def supernatural(exponents):
     """Build the subgroup of rationals whose denominators are bounded by
     the given prime-exponent map, collapsing all-finite maps to cyclic form."""
@@ -191,6 +198,10 @@ def supernatural(exponents):
     _check_prime_powers(items)
     denom = 1
     for p, e in items:
+        # p**e >= 2**e, so a larger e overshoots the cap before it is raised
+        if e >= _DENOMINATOR_LIMIT.bit_length() or denom * p ** e >= _DENOMINATOR_LIMIT:
+            raise ValueError("the denominator of an all-finite map exceeds the cap of "
+                             "%d digits" % MAX_DENOMINATOR_DIGITS)
         denom *= p ** e
     return Cyclic(Fraction(1, denom))
 
@@ -238,41 +249,23 @@ def contains(group, q):
     raise TypeError("not a subgroup spec: %r" % (group,))
 
 
-def _profile(group):
-    """Lower bounds on p-adic valuations of the nonzero elements.
-
-    Primes absent from the map are bounded by 0; a bound of -inf means the
-    denominator exponent at that prime is unrestricted.
-    """
-    if isinstance(group, Cyclic):
-        a = group.generator
-        prof = dict(_factorint(a.numerator))
-        for p, e in _factorint(a.denominator).items():
-            prof[p] = -e
-        return prof
-    if isinstance(group, Supernatural):
-        return {p: (-inf if e == inf else -e) for p, e in group.exponents}
-    raise TypeError("no valuation profile for %r" % (group,))
-
-
-def _from_profile(profile):
-    bounds = {p: b for p, b in profile.items() if b != 0}
-    if all(b != -inf for b in bounds.values()):
-        gen = Fraction(1)
-        for p, b in bounds.items():
-            gen *= Fraction(p) ** b
-        return Cyclic(gen)
-    # a bound of -inf only survives when both operands allow it, and then
-    # every other bound is <= 0, so the supernatural form is always legal
-    assert all(b <= 0 for b in bounds.values())
-    return supernatural({p: (inf if b == -inf else -b) for p, b in bounds.items()})
+def _valuations(n, primes):
+    """``{p: v_p(n)}`` at the given primes, and n with them divided out."""
+    vals = dict.fromkeys(primes, 0)
+    for p in vals:
+        while n % p == 0:
+            n //= p
+            vals[p] += 1
+    return vals, n
 
 
 def subgroup_sum(g, h):
     """Smallest subgroup containing both arguments.
 
-    On cyclic groups this is the rational gcd of the generators; in
-    valuation terms it is the pointwise minimum of the two profiles.
+    On cyclic groups this is the rational gcd of the generators, and on
+    supernatural groups the pointwise maximum of the exponent maps.  A
+    supernatural S contains Z, so S + Z*n/d = S + Z/d for n/d in lowest
+    terms: only d is factored, and only after S's primes are divided out.
     """
     if isinstance(g, FullQ) or isinstance(h, FullQ):
         return FULL_Q
@@ -284,14 +277,24 @@ def subgroup_sum(g, h):
         a, b = g.generator, h.generator
         return Cyclic(Fraction(gcd(a.numerator, b.numerator),
                                lcm(a.denominator, b.denominator)))
-    pg, ph = _profile(g), _profile(h)
-    merged = {p: min(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)}
-    return _from_profile(merged)
+    if isinstance(g, Cyclic):
+        g, h = h, g
+    merged = g.exponent_map()
+    if isinstance(h, Cyclic):
+        vals, rest = _valuations(h.generator.denominator, merged)
+        merged = {p: max(e, vals[p]) for p, e in merged.items()}
+        merged.update(_factorint(rest))
+    else:
+        for p, e in h.exponents:
+            merged[p] = max(merged.get(p, 0), e)
+    return supernatural(merged)
 
 
 def subgroup_intersect(g, h):
     """Set intersection: rational lcm on cyclic generators, pointwise
-    maximum of the valuation profiles in general."""
+    minimum of the exponent maps on supernatural groups.  For n/d in
+    lowest terms, a supernatural S meets Z*n/d in Z*n/a, where a is the
+    part of d that S's exponents allow; nothing is factored."""
     if isinstance(g, Trivial) or isinstance(h, Trivial):
         return TRIVIAL
     if isinstance(g, FullQ):
@@ -302,9 +305,16 @@ def subgroup_intersect(g, h):
         a, b = g.generator, h.generator
         return Cyclic(Fraction(lcm(a.numerator, b.numerator),
                                gcd(a.denominator, b.denominator)))
-    pg, ph = _profile(g), _profile(h)
-    merged = {p: max(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)}
-    return _from_profile(merged)
+    if isinstance(g, Cyclic):
+        g, h = h, g
+    exponents = g.exponent_map()
+    if isinstance(h, Cyclic):
+        vals, _ = _valuations(h.generator.denominator, exponents)
+        allowed = prod(p ** min(e, vals[p]) for p, e in exponents.items())
+        return Cyclic(Fraction(h.generator.numerator, allowed))
+    return supernatural(
+        {p: min(e, exponents[p]) for p, e in h.exponents if p in exponents}
+    )
 
 
 def is_subgroup(inner, outer):

@@ -11,7 +11,8 @@ Element grammar (recursive descent, 1-based error offsets):
 
 The single token ``0`` denotes the zero element.  Group specs: ``0``,
 ``cyclic:<rational>``, ``qk:<k>``, ``sn:<p>^<e|inf>[,...]``, ``Q``.
-Module parameters: ``alpha,beta,F@<groupspec>``.
+Module parameters: ``alpha,beta,F@<groupspec>``.  Every integer is a run
+of at most ``MAX_LITERAL_DIGITS`` ASCII digits.
 """
 
 from __future__ import annotations
@@ -35,15 +36,18 @@ __all__ = [
 ]
 
 
-# Longest digit run accepted in one rational literal: Python's default
-# limit for int-string conversion, so every literal it converts parses.
+# Longest digit run accepted in one integer: Python's default limit for
+# int-string conversion, so every literal it converts parses.
 MAX_LITERAL_DIGITS = 4300
 
 
 class _Scanner:
-    def __init__(self, text):
+    """Cursor over one field of input text; ``digits`` reads every integer
+    of the grammars, with 1-based offsets in its errors."""
+
+    def __init__(self, text, pos=0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def error(self, message, pos=None):
         raise ParseError(message, (self.pos if pos is None else pos) + 1)
@@ -54,6 +58,9 @@ class _Scanner:
     def peek(self):
         return "" if self.at_end() else self.text[self.pos]
 
+    def at_digit(self):
+        return "0" <= self.peek() <= "9"
+
     def skip_ws(self):
         while not self.at_end() and self.text[self.pos] in " \t":
             self.pos += 1
@@ -63,19 +70,26 @@ class _Scanner:
             self.error("expected %r" % ch)
         self.pos += 1
 
-    def digits(self):
+    def finish(self, value, what):
+        """``value``, provided only blanks are left."""
+        self.skip_ws()
+        if not self.at_end():
+            self.error("trailing input after %s" % what)
+        return value
+
+    def digits(self, what="a digit"):
         start = self.pos
-        while not self.at_end() and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if self.pos == start:
-            self.error("expected a digit")
+            self.error("expected %s" % what)
         if self.pos - start > MAX_LITERAL_DIGITS:
             self.error(
                 "literal of %d digits exceeds the cap of %d digits"
                 % (self.pos - start, MAX_LITERAL_DIGITS),
                 start,
             )
-        return self.text[start:self.pos]
+        return int(self.text[start:self.pos])
 
     def rational(self):
         sign = 1
@@ -84,11 +98,11 @@ class _Scanner:
             self.pos += 1
         elif self.peek() == "+":
             self.pos += 1
-        num = int(self.digits())
+        num = self.digits()
         if self.peek() == "/":
             self.pos += 1
             den_pos = self.pos
-            den = int(self.digits())
+            den = self.digits()
             if den == 0:
                 self.error("denominator must be positive", den_pos)
             return Fraction(sign * num, den)
@@ -105,11 +119,7 @@ def parse_rational(text):
     """Parse a full string as an exact rational."""
     s = _Scanner(text)
     s.skip_ws()
-    value = s.rational()
-    s.skip_ws()
-    if not s.at_end():
-        s.error("trailing input after rational")
-    return value
+    return s.finish(s.rational(), "rational")
 
 
 def _parse_atom(s):
@@ -151,7 +161,7 @@ def parse_element(text):
         s.pos += 1
     while True:
         s.skip_ws()
-        if s.peek().isdigit():
+        if s.at_digit():
             coeff = s.rational()
             s.skip_ws()
             s.expect("*")
@@ -175,47 +185,58 @@ def parse_element(text):
 
 
 def parse_group(text):
-    """Parse and canonicalize a subgroup spec."""
+    """Parse and canonicalize a subgroup spec.  Error offsets count from
+    the first non-blank character of the spec."""
     t = text.strip()
     if t == "0":
         return TRIVIAL
     if t == "Q":
         return FULL_Q
     if t.startswith("cyclic:"):
-        body = t[len("cyclic:"):]
+        s = _Scanner(t, len("cyclic:"))
+        s.skip_ws()
         try:
-            return cyclic(parse_rational(body))
+            return cyclic(s.finish(s.rational(), "rational"))
         except ValueError as exc:
             raise ParseError("bad cyclic spec %r: %s" % (t, exc)) from exc
     if t.startswith("qk:"):
-        body = t[len("qk:"):]
-        if not body.isdigit():
-            raise ParseError("qk spec needs a non-negative integer, got %r" % body)
-        return qk(int(body))
+        s = _Scanner(t, len("qk:"))
+        return qk(s.finish(s.digits(), "qk order"))
     if t.startswith("sn:"):
-        body = t[len("sn:"):]
+        s = _Scanner(t, len("sn:"))
         exponents = {}
-        for chunk in body.split(","):
-            if "^" not in chunk:
-                raise ParseError("supernatural entry %r needs prime^exponent" % chunk)
-            p_text, e_text = chunk.split("^", 1)
-            if not p_text.isdigit():
-                raise ParseError("bad prime %r in supernatural spec" % p_text)
-            p = int(p_text)
-            if e_text == "inf":
+        while True:
+            p_pos = s.pos
+            p = s.digits()
+            s.expect("^")
+            e_pos = s.pos
+            if t.startswith("inf", e_pos):
+                s.pos += len("inf")
                 e = inf
-            elif e_text.isdigit() and int(e_text) >= 1:
-                e = int(e_text)
             else:
-                raise ParseError("bad exponent %r in supernatural spec" % e_text)
+                e = s.digits("a digit or 'inf'")
+                if e == 0:
+                    s.error("supernatural exponent must be positive", e_pos)
             if p in exponents:
-                raise ParseError("duplicate prime %d in supernatural spec" % p)
+                s.error("duplicate prime %d in supernatural spec" % p, p_pos)
             exponents[p] = e
+            if s.at_end():
+                break
+            s.expect(",")
         try:
             return supernatural(exponents)
         except ValueError as exc:
             raise ParseError("bad supernatural spec %r: %s" % (t, exc)) from exc
     raise ParseError("unknown group spec %r" % t)
+
+
+def parse_qk_window(text):
+    """Parse ``<k>:<bound>`` into the window of that bound over qk:<k>."""
+    s = _Scanner(text)
+    s.skip_ws()
+    k = s.digits()
+    s.expect(":")
+    return Window(qk(k), s.finish(s.digits(), "window bound"))
 
 
 def parse_params(text):
@@ -263,9 +284,8 @@ def parse_table(text):
     group = parse_group(header[1])
     if not isinstance(group, Cyclic):
         raise ParseError("table windows require a cyclic group spec")
-    if not header[2].isdigit():
-        raise ParseError("table window bound must be a positive integer")
-    window = Window(group, int(header[2]))
+    bound = _Scanner(header[2])
+    window = Window(group, bound.finish(bound.digits(), "table window bound"))
     entries = {}
     for line in lines[1:]:
         fields = line.split()

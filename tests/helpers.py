@@ -1,17 +1,31 @@
 """Shared test utilities: seeded random rationals and module parameters,
 the Fraction-dict oracle for weight vectors and the module action, the
-exact-elimination oracle for the window engine, and the one-pass-per-entry
-oracles for the action-table path."""
+exact-elimination oracle for the window engine, the one-pass-per-entry
+oracles for the action-table path, the accumulator-per-operation oracle
+for algebra elements, the entry-dict proportionality test, and the
+valuation-profile oracle for the subgroup lattice."""
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 from hvir import (
+    CD,
+    CDI,
     CENTERLESS,
+    CI,
+    EXACT_CENTRAL,
+    FULL_Q,
+    TRIVIAL,
     ActionTable,
+    BasisKey,
+    CentralTermError,
+    DisjointOverlapError,
+    IndexDomainError,
+    NonConstantScalingError,
     AmbiguousTableError,
     Cyclic,
+    FullQ,
     GroupMismatchError,
     I,
     ModuleParams,
@@ -19,6 +33,7 @@ from hvir import (
     RescalingMap,
     SubalgebraError,
     Subspace,
+    Trivial,
     VERDICT_CODIM_ONE,
     VERDICT_IRREDUCIBLE,
     VERDICT_TRIVIAL_SUB,
@@ -31,8 +46,10 @@ from hvir import (
     d,
     is_subgroup,
     qk,
+    supernatural,
 )
-from hvir.algebra import _as_element
+from hvir.algebra import _as_element, _basis_bracket, _signed_terms
+from hvir.groups import _factorint
 from hvir.intermediate import d_coefficient
 
 
@@ -472,3 +489,248 @@ def reference_recover_params(table):
             continue
         return ModuleParams(alpha, beta, f, window.group), scales
     raise last_error
+
+
+# storage order of the oracle: central symbols, then d(g) and I(g) by index
+_REFERENCE_CANONICAL_RANK = {"CD": 0, "CDI": 1, "CI": 2, "d": 3, "I": 4}
+# print order of the oracle: d(g), I(g), then central symbols
+_REFERENCE_DISPLAY_RANK = {"d": 0, "I": 1, "CD": 2, "CDI": 3, "CI": 4}
+
+
+class ReferenceElement:
+    """Oracle for ``AlgebraElement``: every operation sums into its own
+    dict, terms are stored central symbols first and sorted again for
+    printing."""
+
+    def __init__(self, terms=()):
+        items = terms.items() if isinstance(terms, dict) else terms
+        acc = {}
+        for key, coeff in items:
+            if not isinstance(key, BasisKey):
+                raise TypeError("term keys must be BasisKey, got %r" % (key,))
+            coeff = as_fraction(coeff)
+            if coeff == 0:
+                continue
+            total = acc.get(key, 0) + coeff
+            if total == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = total
+        order = sorted(acc, key=lambda k: (_REFERENCE_CANONICAL_RANK[k.kind], k.index or 0))
+        self._terms = {key: acc[key] for key in order}
+
+    @property
+    def terms(self):
+        return dict(self._terms)
+
+    def __eq__(self, other):
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        merged = dict(self._terms)
+        for key, coeff in other._terms.items():
+            merged[key] = merged.get(key, 0) + coeff
+        return ReferenceElement(merged)
+
+    def __sub__(self, other):
+        merged = dict(self._terms)
+        for key, coeff in other._terms.items():
+            merged[key] = merged.get(key, 0) - coeff
+        return ReferenceElement(merged)
+
+    def __neg__(self):
+        return ReferenceElement({k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, scalar):
+        scalar = as_fraction(scalar)
+        return ReferenceElement({k: scalar * c for k, c in self._terms.items()})
+
+    def __str__(self):
+        keys = sorted(self._terms, key=lambda k: (_REFERENCE_DISPLAY_RANK[k.kind], k.index or 0))
+        return _signed_terms((str(key), self._terms[key]) for key in keys)
+
+
+def reference_bracket(x, y):
+    """Oracle for ``bracket`` on ``ReferenceElement``s, summing into a dict
+    (the basis bracket ``_basis_bracket`` itself is shared)."""
+    acc = {}
+    for k1, c1 in x._terms.items():
+        if k1.is_central:
+            continue
+        for k2, c2 in y._terms.items():
+            if k2.is_central:
+                continue
+            scale = c1 * c2
+            for key, coeff in _basis_bracket(k1, k2):
+                acc[key] = acc.get(key, 0) + scale * coeff
+    return ReferenceElement(acc)
+
+
+def reference_jacobiator(x, y, z):
+    return (reference_bracket(x, reference_bracket(y, z))
+            + reference_bracket(y, reference_bracket(z, x))
+            + reference_bracket(z, reference_bracket(x, y)))
+
+
+def reference_apply_phi(rescaling, x):
+    """Oracle for ``apply_phi`` on a ``ReferenceElement``: one pass in
+    storage order (central symbols first) through an ``add`` closure."""
+    M = rescaling.scale
+    exact = rescaling.variant == EXACT_CENTRAL
+    acc = {}
+
+    def add(key, coeff):
+        acc[key] = acc.get(key, 0) + coeff
+
+    for key, coeff in x._terms.items():
+        if key.is_central:
+            if not exact:
+                raise CentralTermError(
+                    "the centerless rescaling is undefined on central elements"
+                )
+            if key.kind == "CD":
+                add(CD, coeff / M)
+            elif key.kind == "CDI":
+                add(CDI, coeff)
+            else:
+                add(CI, coeff * M)
+            continue
+        n = key.index
+        if n.denominator != 1:
+            raise IndexDomainError(
+                "rescaling domain is integer indices, got %s" % n
+            )
+        if key.kind == "d":
+            add(d(n / M), coeff * M)
+            if exact and n == 0:
+                add(CD, coeff * (M * M - 1) / (24 * M))
+        else:
+            add(I(n / M), coeff * M)
+            if exact and n == 0:
+                add(CDI, coeff * (1 - M))
+    return ReferenceElement(acc)
+
+
+def reference_proportionality(candidate, reference):
+    """Oracle for ``_proportionality``: the ratio of every pair of entries
+    over equal supports, in Fractions."""
+    ce = candidate.entries
+    re = reference.entries
+    if not re or set(ce) != set(re):
+        return None
+    ratio = None
+    for q, rv in re.items():
+        r = ce[q] / rv
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            return None
+    return ratio
+
+
+def reference_align_extension(reference, candidate):
+    """Oracle for ``align_extension`` through ``reference_proportionality``."""
+    reference = dict(reference)
+    candidate = dict(candidate)
+    overlap = sorted(set(reference) & set(candidate))
+    if len(overlap) < 2:
+        raise DisjointOverlapError(
+            "need at least 2 shared indices to attest a constant, got %d" % len(overlap)
+        )
+    params_set = {v.params for v in candidate.values()} | {
+        reference[q].params for q in overlap
+    }
+    if len(params_set) != 1:
+        raise GroupMismatchError("reference and candidate mix module parameters")
+    params = params_set.pop()
+    if params.f == 0:
+        raise ValueError("alignment requires a nonzero I-eigenvalue")
+    constant = None
+    for q in overlap:
+        ratio = reference_proportionality(candidate[q], reference[q])
+        if ratio is None or ratio == 0:
+            raise NonConstantScalingError(
+                "candidate at index %s is not a rescaling of the reference" % q
+            )
+        if constant is None:
+            constant = ratio
+        elif ratio != constant:
+            raise NonConstantScalingError(
+                "scale at index %s is %s, expected the constant %s"
+                % (q, ratio, constant)
+            )
+    rescaled = {q: candidate[q] * (1 / constant) for q in sorted(candidate)}
+    indices = sorted(rescaled)
+    for q in indices:
+        for t in indices:
+            p = t - q
+            expected_d = d_coefficient(params.alpha, params.beta, q, p)
+            if act(params, d(p), rescaled[q]) != expected_d * rescaled[t]:
+                raise ValueError(
+                    "candidate violates the d-action relation from %s to %s" % (q, t)
+                )
+            if act(params, I(p), rescaled[q]) != params.f * rescaled[t]:
+                raise ValueError(
+                    "candidate violates the I-action relation from %s to %s" % (q, t)
+                )
+    return rescaled
+
+
+def reference_profile(group):
+    """Lower bounds on p-adic valuations of the nonzero elements, from a
+    full factorization of a cyclic generator.
+
+    Primes absent from the map are bounded by 0; a bound of -inf means the
+    denominator exponent at that prime is unrestricted.
+    """
+    if isinstance(group, Cyclic):
+        a = group.generator
+        prof = dict(_factorint(a.numerator))
+        for p, e in _factorint(a.denominator).items():
+            prof[p] = -e
+        return prof
+    return {p: (-inf if e == inf else -e) for p, e in group.exponents}
+
+
+def reference_from_profile(profile):
+    bounds = {p: b for p, b in profile.items() if b != 0}
+    if all(b != -inf for b in bounds.values()):
+        gen = Fraction(1)
+        for p, b in bounds.items():
+            gen *= Fraction(p) ** b
+        return Cyclic(gen)
+    # a bound of -inf only survives when both operands allow it, and then
+    # every other bound is <= 0, so the supernatural form is always legal
+    assert all(b <= 0 for b in bounds.values())
+    return supernatural({p: (inf if b == -inf else -b) for p, b in bounds.items()})
+
+
+def reference_subgroup_sum(g, h):
+    """Oracle for ``subgroup_sum``: the pointwise minimum of the valuation
+    profiles of cyclic and supernatural groups."""
+    if isinstance(g, FullQ) or isinstance(h, FullQ):
+        return FULL_Q
+    if isinstance(g, Trivial):
+        return h
+    if isinstance(h, Trivial):
+        return g
+    pg, ph = reference_profile(g), reference_profile(h)
+    return reference_from_profile(
+        {p: min(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)})
+
+
+def reference_subgroup_intersect(g, h):
+    """Oracle for ``subgroup_intersect``: the pointwise maximum of the
+    valuation profiles of cyclic and supernatural groups."""
+    if isinstance(g, Trivial) or isinstance(h, Trivial):
+        return TRIVIAL
+    if isinstance(g, FullQ):
+        return h
+    if isinstance(h, FullQ):
+        return g
+    pg, ph = reference_profile(g), reference_profile(h)
+    return reference_from_profile(
+        {p: max(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)})

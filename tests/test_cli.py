@@ -2,10 +2,12 @@
 
 import json
 import random
+import sys
 import time
 from itertools import combinations
 
 import pytest
+from fractions import Fraction
 
 from hvir.cli import _sample_ranks, _unrank_triple, main
 
@@ -276,3 +278,112 @@ class TestJacobiSampling:
         assert time.perf_counter() - began < 5.0
         assert status == 0 and err == ""
         assert json.loads(out)["checked"] == 5
+
+
+def lifted_int_digits(fn, *args):
+    """``fn(*args)`` with Python's int-string limit lifted, to build the
+    expected text of numbers longer than 4300 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntegerFields:
+    """Every integer of the text input is read by one digit reader: ASCII
+    0-9 only, at most 4300 digits, with the offset in the error."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["classify", "1/7,1,0@qk:" + "1" * 5000],
+         "literal of 5000 digits exceeds the cap of 4300 digits at offset 4"),
+        (["classify", "0,0,1@sn:2^" + "1" * 5000],
+         "literal of 5000 digits exceeds the cap of 4300 digits at offset 6"),
+        (["classify", "0,0,1@sn:" + "3" * 4301 + "^inf"],
+         "literal of 4301 digits exceeds the cap of 4300 digits at offset 4"),
+        (["classify", "0,1\u00b2,0@Q"], "trailing input after rational at offset 2"),
+        (["classify", "0,\u0661,0@Q"], "expected a digit at offset 1"),
+        (["classify", "0,1,0@qk:\u0663"], "expected a digit at offset 4"),
+        (["classify", "0,1,0@sn:2^\u0663"], "expected a digit or 'inf' at offset 6"),
+        (["bracket", "\u0663*d(1)", "d(2)"], "expected a basis symbol at offset 1"),
+        (["bracket", "d(\u0663)", "d(2)"], "expected a digit at offset 3"),
+        (["jacobi", "--window", " 1:\u0663"], "expected a digit at offset 4"),
+        (["jacobi", "--window", "1:" + "2" * 4301],
+         "literal of 4301 digits exceeds the cap of 4300 digits at offset 3"),
+        (["jacobi", "--window=-1:2"], "expected a digit at offset 1"),
+        (["jacobi", "--window", "1:2:3"], "trailing input after window bound at offset 4"),
+    ])
+    def test_bad_integers_are_syntax_errors(self, capsys, argv, message):
+        began = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - began < 1.0
+        assert status == 1 and out == ""
+        assert err == "error[syntax]: %s\n" % message
+
+    @pytest.mark.parametrize("bound,message", [
+        ("\u0662", "expected a digit at offset 1"),
+        ("2x", "trailing input after table window bound at offset 2"),
+        ("9" * 5000, "literal of 5000 digits exceeds the cap of 4300 digits at offset 1"),
+    ])
+    def test_table_header_bound(self, capsys, tmp_path, bound, message):
+        table = tmp_path / "table.txt"
+        table.write_text("window qk:0 %s\nd(0) 0 0 1\n" % bound, encoding="utf-8")
+        status, _, err = run_cli(capsys, "recover", "--table", str(table))
+        assert status == 1
+        assert err == "error[syntax]: %s\n" % message
+
+    def test_integer_fields_still_parse(self, capsys):
+        status, out, _ = run_cli(capsys, "jacobi", "--window", " 1:3 ")
+        assert status == 0 and out == "jacobi: OK (680 triples checked)\n"
+        status, out, _ = run_cli(capsys, "--structured", "classify", "0,1,0@sn:2^inf,3^2")
+        assert status == 0 and json.loads(out)["params"] == "0,1,0@sn:2^inf,3^2"
+
+    def test_collapsed_supernatural_cap(self, capsys):
+        began = time.perf_counter()
+        status, out, err = run_cli(capsys, "classify", "0,1,0@sn:2^10000000")
+        assert time.perf_counter() - began < 1.0
+        assert status == 1 and out == ""
+        assert err == (
+            "error[syntax]: bad supernatural spec 'sn:2^10000000': the denominator "
+            "of an all-finite map exceeds the cap of 4300 digits\n"
+        )
+
+
+class TestLongOutputs:
+    """Inputs are capped, so the CLI prints every value in full."""
+
+    def test_product_of_two_long_literals(self, capsys):
+        sevens = "7" * 3000
+        began = time.perf_counter()
+        status, out, err = run_cli(capsys, "bracket", sevens + "*d(1)", sevens + "*d(2)")
+        assert time.perf_counter() - began < 1.0
+        assert status == 0 and err == ""
+        assert out == lifted_int_digits(str, int(sevens) ** 2) + "*d(3)\n"
+
+    def test_largest_bracket_of_literals_at_the_cap(self, capsys):
+        r = random.Random(4300)
+        a, num, den = ("".join(r.choice("123456789") for _ in range(4300)) for _ in range(3))
+        g = "%s/%s" % (num, den)
+        status, out, err = run_cli(capsys, "bracket", "%s*d(%s)" % (a, g), "%s*d(-%s)" % (a, g))
+        assert status == 0 and err == ""
+        gf = Fraction(int(num), int(den))
+        c = int(a) ** 2
+        expected = lifted_int_digits(
+            lambda: "%s*d(0) + %s*CD\n" % (-2 * gf * c, (gf ** 3 - gf) / 12 * c))
+        assert out == expected and len(out) > 34000
+
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "7" * 4300 + "*d(1)", "7" * 4300 + "*I(-1)"],
+        ["--structured", "bracket", "7" * 4300 + "*d(1)", "7" * 4300 + "*d(2)"],
+        ["phi", "--m", "500", "--variant", "exact", "9" * 4300 + "*d(0) + " + "9" * 4300 + "*CI"],
+        ["act", "%s,%s,%s@Q" % ("7" * 4300, "8" * 4300, "9" * 4300), "9" * 4300 + "*d(1)",
+         "--at", "1/" + "3" * 4300],
+        ["--structured", "classify", "0,1,0@sn:2^14284"],
+    ])
+    def test_no_int_string_limit_message(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        status, out, err = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == limit
+        assert "set_int_max_str_digits" not in err
+        assert status == 0 and err == "" and len(out) > 4300

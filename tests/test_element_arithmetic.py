@@ -1,0 +1,233 @@
+"""Differential tests of ``AlgebraElement`` arithmetic, ``bracket``,
+``jacobiator`` and ``apply_phi`` against the accumulator-per-operation
+oracle in ``helpers``, and of ``align_extension`` against the entry-dict
+proportionality test."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hvir import (
+    CD,
+    CDI,
+    CENTERLESS,
+    CI,
+    EXACT_CENTRAL,
+    AlgebraElement,
+    CentralTermError,
+    I,
+    IndexDomainError,
+    ModuleParams,
+    NonConstantScalingError,
+    RescalingMap,
+    WeightVector,
+    apply_phi,
+    align_extension,
+    basis_vector,
+    bracket,
+    d,
+    jacobiator,
+    qk,
+)
+from hvir.analysis import _proportionality
+from helpers import (
+    ReferenceElement,
+    reference_align_extension,
+    reference_apply_phi,
+    reference_bracket,
+    reference_jacobiator,
+    reference_proportionality,
+)
+
+F = Fraction
+
+small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+# mixed denominators: integers, halves, thirds, sixths and sevenths
+mixed_indices = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 1, 2, 3, 6, 7]))
+integer_indices = st.integers(-4, 4).map(F)
+central = st.sampled_from([CD, CDI, CI])
+
+PRINT_RANK = ("d", "I", "CD", "CDI", "CI")
+
+
+@st.composite
+def term_lists(draw, indices=mixed_indices, max_size=5):
+    """(key, coefficient) pairs with repeated keys, zero coefficients and
+    pairs that cancel to zero."""
+    keys = st.one_of(indices.map(d), indices.map(I), central)
+    pairs = draw(st.lists(st.tuples(keys, small_fractions), max_size=max_size))
+    if pairs and draw(st.booleans()):
+        key, c = draw(st.sampled_from(pairs))
+        pairs.append((key, -c))
+    return draw(st.permutations(pairs))
+
+
+def both(terms):
+    return AlgebraElement(terms), ReferenceElement(terms)
+
+
+def assert_same(element, reference):
+    assert element.terms == reference.terms
+    assert hash(element) == hash(reference)
+    assert str(element) == str(reference)
+    assert element.is_zero() == (not reference.terms)
+    assert_print_order(element)
+
+
+def assert_print_order(element):
+    keys = list(element.terms)
+    assert keys == sorted(keys, key=lambda k: (PRINT_RANK.index(k.kind), k.index or 0))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (CentralTermError, IndexDomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestArithmeticAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists())
+    def test_constructor(self, terms):
+        assert_same(*both(terms))
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists(), term_lists())
+    def test_add_sub_and_equality(self, left, right):
+        (x, rx), (y, ry) = both(left), both(right)
+        assert_same(x + y, rx + ry)
+        assert_same(x - y, rx - ry)
+        assert_same(y - x, ry - rx)
+        assert (x == y) == (rx == ry)
+        assert (x + y == y + x) and (x - x).is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_lists(), st.one_of(small_fractions, st.integers(-3, 3)))
+    def test_negation_and_scalar(self, terms, scalar):
+        x, rx = both(terms)
+        assert_same(-x, -rx)
+        assert_same(x * scalar, rx * scalar)
+        assert_same(scalar * x, rx * scalar)
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists(), term_lists())
+    def test_bracket(self, left, right):
+        (x, rx), (y, ry) = both(left), both(right)
+        assert_same(bracket(x, y), reference_bracket(rx, ry))
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists(max_size=3), term_lists(max_size=3), term_lists(max_size=3))
+    def test_jacobiator(self, a, b, c):
+        (x, rx), (y, ry), (z, rz) = both(a), both(b), both(c)
+        value = jacobiator(x, y, z)
+        assert_same(value, reference_jacobiator(rx, ry, rz))
+        assert value.is_zero()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(term_lists(integer_indices), term_lists()),
+           st.integers(1, 4), st.sampled_from([EXACT_CENTRAL, CENTERLESS]))
+    def test_apply_phi(self, terms, m, variant):
+        # central symbols under the centerless variant and non-integer
+        # indices both raise; when both occur, the central error wins
+        x, rx = both(terms)
+        rescaling = RescalingMap(m, variant)
+        got = outcome(apply_phi, rescaling, x)
+        expected = outcome(reference_apply_phi, rescaling, rx)
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            assert_same(got[1], expected[1])
+        else:
+            assert got[1] == expected[1]
+
+    def test_both_errors_central_first(self):
+        x = AlgebraElement([(d(F(1, 2)), 1), (CI, 1)])
+        with pytest.raises(CentralTermError):
+            apply_phi(RescalingMap(2, CENTERLESS), x)
+        with pytest.raises(IndexDomainError, match="got 1/2$"):
+            apply_phi(RescalingMap(2, EXACT_CENTRAL), x)
+
+
+class TestTermOrder:
+    def test_terms_iterate_in_print_order(self):
+        x = AlgebraElement([(CI, 1), (I(-1), 2), (CD, 3), (d(F(1, 2)), 1), (CDI, -1),
+                            (d(-2), 5), (I(F(1, 3)), 1)])
+        assert list(x.terms) == [d(-2), d(F(1, 2)), I(-1), I(F(1, 3)), CD, CDI, CI]
+        assert str(x) == "5*d(-2) + d(1/2) + 2*I(-1) + I(1/3) + 3*CD - CDI + CI"
+
+    def test_operations_keep_print_order(self):
+        x = AlgebraElement([(CD, 1), (d(3), 1), (I(1), 2)])
+        y = AlgebraElement([(CI, 1), (d(-3), 1), (I(-1), 1)])
+        for value in (x + y, x - y, -x, x * 3, bracket(x, y), x.central_part(),
+                      x.without_central(), apply_phi(RescalingMap(2), x)):
+            assert_print_order(value)
+
+
+params_f = ModuleParams(F(1, 3), F(1, 2), F(2), qk(0))
+params_other = ModuleParams(F(1, 3), F(1, 2), F(3), qk(0))
+
+
+@st.composite
+def vectors(draw, params=params_f):
+    pairs = draw(st.lists(st.tuples(st.integers(-4, 4), small_fractions), max_size=3))
+    return WeightVector(params, pairs)
+
+
+class TestProportionality:
+    @settings(max_examples=300, deadline=None)
+    @given(vectors(), st.one_of(vectors(), vectors().map(lambda v: v * 3),
+                                st.just(None)), small_fractions)
+    def test_against_entry_ratios(self, reference, candidate, scale):
+        # proportional, non-proportional, different-support and zero candidates
+        if candidate is None:
+            candidate = reference * scale
+        got = _proportionality(candidate, reference)
+        expected = reference_proportionality(candidate, reference)
+        if candidate.is_zero() and not reference.is_zero():
+            # a zero candidate is 0 * reference; both forms are rejected
+            assert got == 0 and expected is None
+        else:
+            assert got == expected
+
+    def test_other_module_is_not_proportional(self):
+        v = basis_vector(params_f, 1)
+        assert _proportionality(basis_vector(params_other, 1), v) is None
+
+
+def align_outcome(align, reference, candidate):
+    try:
+        return "ok", align(reference, candidate)
+    except (NonConstantScalingError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAlignExtension:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_fractions.filter(bool), min_size=5, max_size=5),
+           st.sampled_from(["proportional", "skewed", "support", "zero"]),
+           st.integers(-2, 2))
+    def test_against_reference(self, scales, shape, where):
+        indices = [F(n) for n in range(-2, 3)]
+        reference = {q: basis_vector(params_f, q) * scales[0] for q in indices}
+        candidate = {q: reference[q] * scales[1] for q in indices}
+        candidate[F(3)] = basis_vector(params_f, 3) * scales[0] * scales[1]
+        q = F(where)
+        if shape == "skewed":
+            candidate[q] = candidate[q] * scales[2] * 2
+        elif shape == "support":
+            candidate[q] = candidate[q] + basis_vector(params_f, q + 1) * scales[3]
+        elif shape == "zero":
+            candidate[q] = candidate[q] * 0
+        got = align_outcome(align_extension, reference, candidate)
+        assert got == align_outcome(reference_align_extension, reference, candidate)
+        if shape == "proportional":
+            assert got[0] == "ok"
+        elif shape in ("support", "zero"):
+            assert got[0] is NonConstantScalingError
+
+    def test_divides_out_the_constant(self):
+        reference = {F(n): basis_vector(params_f, n) for n in range(3)}
+        candidate = {F(n): basis_vector(params_f, n) * F(5, 2) for n in range(4)}
+        aligned = align_extension(reference, candidate)
+        assert aligned == {F(n): basis_vector(params_f, n) for n in range(4)}

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import inf, isqrt, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hvir import (
     FULL_Q,
@@ -31,9 +31,13 @@ from hvir import (
 from hvir.groups import (
     MAX_FACTORIAL_ORDER,
     _SPRP_EXACT_BELOW,
-    _from_profile,
     _is_prime,
-    _profile,
+)
+from helpers import (
+    reference_from_profile as _from_profile,
+    reference_profile as _profile,
+    reference_subgroup_intersect,
+    reference_subgroup_sum,
 )
 
 F = Fraction
@@ -376,3 +380,76 @@ class TestPrimality:
         while not _is_prime(n):
             n -= 2
         assert supernatural({n: inf}).exponent_map() == {n: inf}
+
+
+# generators built from the primes 2, 3, 5, 7 and 11 so that the listed
+# primes of a supernatural group both divide and miss them
+lattice_primes = st.sampled_from([2, 3, 5, 7, 11])
+lattice_generators = st.builds(
+    lambda num, den: F(prod(num), prod(den)),
+    st.lists(lattice_primes, max_size=4),
+    st.lists(lattice_primes, max_size=4),
+)
+supernatural_groups = st.builds(
+    lambda p, rest: supernatural({p: inf, **rest}),
+    lattice_primes,
+    st.dictionaries(lattice_primes, st.sampled_from([1, 2, 3, inf]), max_size=3),
+)
+all_shapes = st.one_of(
+    st.just(TRIVIAL), st.just(FULL_Q), lattice_generators.map(cyclic), supernatural_groups
+)
+
+
+class TestLatticeFromExponentMaps:
+    @settings(max_examples=500, deadline=None)
+    @given(all_shapes, all_shapes)
+    def test_matches_valuation_profiles(self, g, h):
+        assert subgroup_sum(g, h) == reference_subgroup_sum(g, h)
+        assert subgroup_intersect(g, h) == reference_subgroup_intersect(g, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(supernatural_groups, lattice_generators, st.integers(-30, 30))
+    def test_mixed_results_against_membership(self, s, gen, n):
+        total = subgroup_sum(s, cyclic(gen))
+        meet = subgroup_intersect(cyclic(gen), s)
+        assert contains(total, n * gen) and is_subgroup(s, total)
+        assert contains(meet, n * gen) == contains(s, n * gen)
+
+    def test_intersection_factors_no_numerator(self):
+        # the numerator is a product of two primes near 10^10; trial
+        # division of it would take hours
+        big = 10000000019 * 10000000033
+        began = time.perf_counter()
+        assert subgroup_intersect(cyclic(F(big, 3)), supernatural({2: inf})) == cyclic(big)
+        assert subgroup_intersect(supernatural({3: inf}), cyclic(F(big, 3))) == cyclic(F(big, 3))
+        assert subgroup_sum(cyclic(F(big, 3)), supernatural({2: inf})) == supernatural(
+            {2: inf, 3: 1})
+        assert time.perf_counter() - began < 1.0
+
+    def test_sum_factors_only_the_leftover_denominator(self):
+        s = supernatural({2: inf, 3: 2})
+        assert subgroup_sum(s, cyclic(F(7, 2 ** 200 * 27 * 5))) == supernatural(
+            {2: inf, 3: 3, 5: 1})
+
+    def test_disjoint_supernatural_meet_is_the_integers(self):
+        assert subgroup_intersect(supernatural({2: inf}), supernatural({3: inf})) == INTEGERS
+        assert subgroup_intersect(
+            supernatural({2: inf, 3: 2}), supernatural({3: inf, 5: inf})) == cyclic(F(1, 9))
+
+
+class TestCollapsedDenominatorCap:
+    def test_cap_is_4300_digits(self):
+        assert len(str(supernatural({2: 14284}).generator.denominator)) == 4300
+        with pytest.raises(ValueError, match="exceeds the cap of 4300 digits"):
+            supernatural({2: 14285})
+        with pytest.raises(ValueError, match="exceeds the cap of 4300 digits"):
+            supernatural({2: 7000, 3: 5000})
+
+    def test_huge_exponent_fails_at_once(self):
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap of 4300 digits"):
+            supernatural({3: 10 ** 4000})
+        with pytest.raises(ValueError, match="exceeds the cap of 4300 digits"):
+            subgroup_intersect(supernatural({2: 10 ** 4000, 3: inf}), supernatural({2: inf}))
+        assert time.perf_counter() - began < 1.0
+        assert supernatural({2: 10 ** 4000, 3: inf}).exponent_map()[2] == 10 ** 4000

@@ -208,3 +208,49 @@ class TestTableFiles:
         text = "\nwindow cyclic:1 2\n\nd(1) 0 1 2\n\n"
         table = parse_table(text)
         assert len(table) == 1
+
+
+class TestDigitReader:
+    """One digit reader for every integer: ASCII 0-9, at most 4300
+    digits, offsets counted within the parsed field."""
+
+    @pytest.mark.parametrize("text", ["١", "1²", "１", "٣/2", "1/٢"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+    def test_non_ascii_coefficient_is_not_a_number(self):
+        with pytest.raises(ParseError, match="expected a basis symbol at offset 1$"):
+            parse_element("٣*d(1)")
+
+    @pytest.mark.parametrize("text,message", [
+        ("qk:٣", "expected a digit at offset 4$"),
+        ("qk:3 ", None),
+        ("qk:-1", "expected a digit at offset 4$"),
+        ("qk:" + "1" * 4301, "literal of 4301 digits exceeds the cap of 4300 digits at offset 4$"),
+        ("sn:2^" + "1" * 4301, "literal of 4301 digits exceeds the cap of 4300 digits at offset 6$"),
+        ("sn:٢^inf", "expected a digit at offset 4$"),
+        ("sn:2^inf,3", "expected '\\^' at offset 11$"),
+        ("sn:2^0", "supernatural exponent must be positive at offset 6$"),
+        ("sn:2^inf,2^3", "duplicate prime 2 in supernatural spec at offset 10$"),
+        ("sn:2^infinity", "expected ',' at offset 9$"),
+        ("cyclic:1/0", "denominator must be positive at offset 10$"),
+        ("cyclic:1/2x", "trailing input after rational at offset 11$"),
+    ])
+    def test_group_spec_integers(self, text, message):
+        if message is None:
+            assert parse_group(text) == qk(3)
+            return
+        with pytest.raises(ParseError, match=message):
+            parse_group(text)
+
+    def test_group_spec_messages_kept(self):
+        with pytest.raises(ValueError, match="^qk index 20000 exceeds the cap of 500$"):
+            parse_group("qk:20000")
+        assert parse_group(" cyclic: 3/4 ") == cyclic(F(3, 4))
+        assert parse_group("sn:3^2,2^inf") == Supernatural(((2, inf), (3, 2)))
+
+    @pytest.mark.parametrize("bound", ["٢", "+2", "2.0", "0x2"])
+    def test_table_header_bound(self, bound):
+        with pytest.raises(ParseError):
+            parse_table("window qk:0 %s\nd(0) 0 0 1\n" % bound)
