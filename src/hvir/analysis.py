@@ -16,7 +16,8 @@ alpha + q, so an invariant subspace is the span of the basis lines it
 meets.  A closure is therefore the span of the lines reachable from the
 seeds' supports along nonzero window actions, and on such a span the
 truncated and exact actions agree.  ``Subspace`` keeps exact reduced
-row echelon spans of arbitrary vectors.
+row echelon spans of arbitrary vectors, with integer-form
+``WeightVector`` rows and ``WeightVector`` arithmetic.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ __all__ = [
 ]
 
 
-# Largest accepted window bound.  A codimension-1 scan costs about
-# bound**3 / 64 word operations: about 11 s at this cap on a 2-vCPU
-# host under Python 3.11.
+# Largest accepted window bound.  A scan here takes 10-60 ms and a
+# closure less, on a 2-vCPU host under Python 3.11: each distinct
+# adjacency row is expanded once, and an expansion stops when the whole
+# window is reached.
 MAX_WINDOW_BOUND = 2048
 
 
@@ -113,26 +115,23 @@ class Window:
         return "%s:%d" % (self.group, self.bound)
 
 
-def _exact_entries(params, vector):
-    """Index -> coefficient Fractions of a weight vector or of a plain dict,
-    which is checked as ``WeightVector(params, vector)`` checks it."""
-    if not isinstance(vector, WeightVector):
-        vector = WeightVector(params, dict(vector))
-    return vector.entries
-
-
 class Subspace:
     """Exact span of weight vectors in reduced row echelon form.
 
-    Rows are keyed by their pivot index (the smallest index with a
-    nonzero coefficient), pivots are normalized to 1 and eliminated from
-    every other row, so the stored basis is the canonical one for the
-    span regardless of insertion order.
+    Rows are the canonical integer-form ``WeightVector``s of the span,
+    keyed by their pivot index (the smallest index with a nonzero
+    coefficient).  Pivots are normalized to 1 and eliminated from every
+    other row, so the stored basis is the canonical one for the span
+    regardless of insertion order.
+
+    ``insert`` and ``contains`` take a ``WeightVector`` of the same
+    module parameters, or a plain dict, which is checked as
+    ``WeightVector(params, ...)`` checks it.
     """
 
     def __init__(self, params):
         self.params = params
-        self._rows = {}  # pivot index -> {index: coefficient}
+        self._rows = {}  # pivot index -> WeightVector, 1 at its pivot
 
     @property
     def dimension(self):
@@ -141,56 +140,50 @@ class Subspace:
     def pivots(self):
         return sorted(self._rows)
 
-    def _reduce(self, entries):
-        entries = {q: c for q, c in entries.items() if c != 0}
+    def _vector(self, vector):
+        if not isinstance(vector, WeightVector):
+            return WeightVector(self.params, dict(vector))
+        if vector.params != self.params:
+            raise GroupMismatchError("vector belongs to different module parameters")
+        return vector
+
+    def _reduce(self, vector):
         # each row is zero at every other pivot, so subtracting one row
-        # never brings back an entry at another pivot
-        for pivot in sorted(q for q in entries if q in self._rows):
-            c = entries[pivot]
-            for q, v in self._rows[pivot].items():
-                total = entries.get(q, 0) - c * v
-                if total == 0:
-                    entries.pop(q, None)
-                else:
-                    entries[q] = total
-        return entries
+        # leaves the coefficients at the other pivots as they were
+        for q, c in vector.entries.items():
+            row = self._rows.get(q)
+            if row is not None:
+                vector = vector - c * row
+        return vector
 
     def insert(self, vector):
         """Add a vector to the span; returns True when the dimension grew."""
-        remainder = self._reduce(_exact_entries(self.params, vector))
+        remainder = self._reduce(self._vector(vector))
         if not remainder:
             return False
-        pivot = min(remainder)
-        lead = remainder[pivot]
-        row = {q: c / lead for q, c in remainder.items()}
-        for other in self._rows.values():
-            c = other.get(pivot)
-            if c is None:
-                continue
-            for q, v in row.items():
-                total = other.get(q, 0) - c * v
-                if total == 0:
-                    other.pop(q, None)
-                else:
-                    other[q] = total
+        # entries are sorted by index, so the first one is the pivot
+        pivot, lead = next(iter(remainder.entries.items()))
+        row = remainder * (1 / lead)
+        for q, other in self._rows.items():
+            c = other.coefficient(pivot)
+            if c:
+                self._rows[q] = other - c * row
         self._rows[pivot] = row
         return True
 
     def contains(self, vector):
-        return not self._reduce(_exact_entries(self.params, vector))
+        return not self._reduce(self._vector(vector))
 
     @property
     def echelon_basis(self):
-        return [
-            WeightVector(self.params, self._rows[p], _trusted=True) for p in self.pivots()
-        ]
+        return [self._rows[p] for p in self.pivots()]
 
     def row_entries(self):
-        return [dict(self._rows[p]) for p in self.pivots()]
+        return [self._rows[p].entries for p in self.pivots()]
 
     def is_pure_basis(self):
         """True when every row is a single basis vector."""
-        return all(row == {p: Fraction(1)} for p, row in self._rows.items())
+        return all(row.entries == {p: 1} for p, row in self._rows.items())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -244,18 +237,16 @@ def _reach(adjacency, start):
     full = (1 << len(adjacency)) - 1
     reached = frontier = start
     while frontier and reached != full:
-        grown = 0
-        while frontier:
+        grown = reached
+        # stop as soon as everything is reached: rows that each miss one
+        # target fill the window after a few of them
+        while frontier and grown != full:
             low = frontier & -frontier
             grown |= adjacency[low.bit_length() - 1]
             frontier ^= low
         frontier = grown & ~reached
-        reached |= frontier
+        reached = grown
     return reached
-
-
-def _lines(indices, mask):
-    return [q for i, q in enumerate(indices) if mask >> i & 1]
 
 
 def closure(params, window, seeds):
@@ -285,7 +276,11 @@ def closure(params, window, seeds):
                 start |= 1 << (int(q / step) + bound)
     reached = _reach(_adjacency(params, window), start)
     sub = Subspace(params)
-    sub._rows = {q: {q: Fraction(1)} for q in _lines(window.indices(), reached)}
+    # the line at position n + bound is v(n*step), in integer form
+    L, k = step.denominator, step.numerator
+    for n in range(-bound, bound + 1):
+        if reached >> (n + bound) & 1:
+            sub._rows[n * step] = WeightVector._canonical(params, L, 1, {n * k: 1})
     return sub
 
 
@@ -306,12 +301,18 @@ def scan_details(params, window):
     size = window.size
     adjacency = _adjacency(params, window)
     dims = {}
+    # a seed reaches itself and what its adjacency row reaches, and the
+    # rows take few distinct values (one, in the codimension-1 case)
+    reaches = {}
     trivial_seed = None
     codim_seed = None
     codim_pivots = None
     stray = None
     for i, q in enumerate(indices):
-        reached = _reach(adjacency, 1 << i)
+        row = adjacency[i]
+        if row not in reaches:
+            reaches[row] = _reach(adjacency, row)
+        reached = reaches[row] | 1 << i
         dim = dims[q] = reached.bit_count()
         if dim == size:
             continue
@@ -321,7 +322,7 @@ def scan_details(params, window):
         elif dim == size - 1:
             if codim_seed is None:
                 codim_seed = q
-                codim_pivots = _lines(indices, reached)
+                codim_pivots = [t for j, t in enumerate(indices) if reached >> j & 1]
         else:
             stray = q
     if trivial_seed is not None:

@@ -8,13 +8,15 @@ extras).  All outputs are deterministic: identical invocations print
 identical bytes, and the CLI keeps no state between runs.
 
 Errors are reported as ``error[<code>]: <message>`` on stderr with exit
-status 1; usage errors exit with status 2.
+status 1; usage errors exit with status 2.  A stdout closed by its
+reader ends the run with status 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from bisect import bisect_right
@@ -48,25 +50,28 @@ from .parsing import (parse_element, parse_group, parse_params, parse_qk_window,
 
 _REPORT_KEYS = ("params", "window", "verdict", "dimensions", "basisIndices", "cosets")
 
-
-def _report(extras=None, **fields):
-    report = {key: fields.get(key) for key in _REPORT_KEYS}
-    for key, value in (extras or {}).items():
-        report[key] = value
-    return json.dumps(report, indent=2)
+# Largest number of triples one ``jacobi`` call checks, swept or sampled.
+# It admits the 23 426-triple sweep of ``--window 3:12``; at about 0.2 ms
+# per triple a call at the cap takes about 6 s.
+MAX_JACOBI_TRIPLES = 25_000
 
 
-def _emit(args, text_lines, **report_fields):
+def _emit(args, lines, **fields):
+    """Print the text lines, or under ``--structured`` a JSON report: the
+    fixed keys first (null when not given), then the verb's own fields in
+    call order."""
     if args.structured:
-        print(_report(**report_fields))
+        report = {key: fields.pop(key, None) for key in _REPORT_KEYS}
+        report.update(fields)
+        print(json.dumps(report, indent=2))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
 def _cmd_bracket(args):
     result = bracket(parse_element(args.left), parse_element(args.right))
-    _emit(args, [str(result)], extras={"element": str(result)})
+    _emit(args, [str(result)], element=str(result))
     return 0
 
 
@@ -103,6 +108,16 @@ def _unrank_triple(rank, size):
 
 def _cmd_jacobi(args):
     window = parse_qk_window(args.window)
+    # d(g) and I(g) at each window index, then CD, CDI and CI
+    count = comb(2 * window.size + 3, 3)
+    if args.samples is not None:
+        if args.samples < 0:
+            raise ValueError("--samples must be non-negative, got %d" % args.samples)
+        count = min(args.samples, count)
+    if count > MAX_JACOBI_TRIPLES:
+        raise ValueError(
+            "jacobi check of %d triples exceeds the cap of %d" % (count, MAX_JACOBI_TRIPLES)
+        )
     keys = _basis_keys(window)
     triples = combinations(keys, 3)
     if args.samples is not None:
@@ -118,7 +133,7 @@ def _cmd_jacobi(args):
             return 1
         checked += 1
     _emit(args, ["jacobi: OK (%d triples checked)" % checked],
-          window=str(window), extras={"checked": checked})
+          window=str(window), checked=checked)
     return 0
 
 
@@ -127,7 +142,7 @@ def _cmd_act(args):
     element = parse_element(args.element)
     vector = basis_vector(params, parse_rational(args.at))
     result = act(params, element, vector)
-    _emit(args, [str(result)], params=str(params), extras={"vector": str(result)})
+    _emit(args, [str(result)], params=str(params), vector=str(result))
     return 0
 
 
@@ -139,7 +154,7 @@ def _cmd_classify(args):
         ["verdict: %s" % result.verdict, "subquotient: %s" % result.subquotient_note],
         params=str(params),
         verdict=result.verdict,
-        extras={"note": result.subquotient_note},
+        note=result.subquotient_note,
     )
     return 0
 
@@ -155,11 +170,9 @@ def _cmd_iso(args):
         args,
         lines,
         params=str(p1),
-        extras={
-            "other": str(p2),
-            "isomorphic": flag,
-            "witness": str(shift) if flag else None,
-        },
+        other=str(p2),
+        isomorphic=flag,
+        witness=str(shift) if flag else None,
     )
     return 0
 
@@ -168,7 +181,7 @@ def _cmd_phi(args):
     variant = EXACT_CENTRAL if args.variant == "exact" else CENTERLESS
     rescaling = RescalingMap(args.m, variant)
     result = apply_phi(rescaling, parse_element(args.element))
-    _emit(args, [str(result)], extras={"element": str(result)})
+    _emit(args, [str(result)], element=str(result))
     return 0
 
 
@@ -217,7 +230,7 @@ def _cmd_scan(args):
         verdict=classification.verdict,
         dimensions={str(q): dim for q, dim in sorted(dims.items())},
         basisIndices=None if proper is None else [str(p) for p in proper],
-        extras={"note": classification.subquotient_note},
+        note=classification.subquotient_note,
     )
     return 0
 
@@ -248,7 +261,7 @@ def _cmd_recover(args):
         ["params: %s" % params, "scales: %s" % scale_text],
         params=str(params),
         window=str(table.window),
-        extras={"scales": {str(q): str(c) for q, c in sorted(scales.items())}},
+        scales={str(q): str(c) for q, c in sorted(scales.items())},
     )
     return 0
 
@@ -331,7 +344,15 @@ def main(argv=None):
     set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_int_digits(0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # flush here, so that a closed stdout fails inside this try
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout, which is no input error: point stdout
+        # at devnull so the flush at exit fails no more, and report nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except HvirError as exc:
         print("error[%s]: %s" % (exc.code, exc), file=sys.stderr)
         return 1

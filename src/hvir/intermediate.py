@@ -105,7 +105,7 @@ class WeightVector:
 
     __slots__ = ("params", "_L", "_D", "_num")
 
-    def __init__(self, params, entries=(), _trusted=False):
+    def __init__(self, params, entries=()):
         if not isinstance(params, ModuleParams):
             raise TypeError("params must be ModuleParams")
         items = entries.items() if isinstance(entries, dict) else entries
@@ -115,7 +115,7 @@ class WeightVector:
             coeff = as_fraction(coeff)
             if coeff == 0:
                 continue
-            if not _trusted and not contains(params.group, index):
+            if not contains(params.group, index):
                 raise SubalgebraError(
                     "index %s lies outside the module's group %s" % (index, params.group)
                 )

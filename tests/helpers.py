@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random rationals and module parameters,
-the Fraction-dict oracle for weight vectors and the module action, the
-exact-elimination oracle for the window engine, the one-pass-per-entry
-oracles for the action-table path, the accumulator-per-operation oracle
+the Fraction-dict oracles for weight vectors, the module action and
+exact spans, the exact-elimination oracle for the window engine, the
+one-pass-per-entry oracles for the action-table path, the accumulator-per-operation oracle
 for algebra elements, the entry-dict proportionality test, and the
 valuation-profile oracle for the subgroup lattice."""
 
@@ -32,11 +32,11 @@ from hvir import (
     NotIntermediateSeriesError,
     RescalingMap,
     SubalgebraError,
-    Subspace,
     Trivial,
     VERDICT_CODIM_ONE,
     VERDICT_IRREDUCIBLE,
     VERDICT_TRIVIAL_SUB,
+    WeightVector,
     Window,
     act,
     apply_phi,
@@ -86,7 +86,7 @@ class ReferenceVector:
     """Oracle for ``WeightVector``: a dict of index -> coefficient
     Fractions, sorted by index, with zero coefficients pruned."""
 
-    def __init__(self, params, entries=(), _trusted=False):
+    def __init__(self, params, entries=()):
         if not isinstance(params, ModuleParams):
             raise TypeError("params must be ModuleParams")
         items = entries.items() if isinstance(entries, dict) else entries
@@ -96,7 +96,7 @@ class ReferenceVector:
             coeff = as_fraction(coeff)
             if coeff == 0:
                 continue
-            if not _trusted and not reference_contains(params.group, index):
+            if not reference_contains(params.group, index):
                 raise SubalgebraError("index %s lies outside the module's group" % index)
             total = acc.get(index, 0) + coeff
             if total == 0:
@@ -196,18 +196,98 @@ def reference_act_word(params, word, v):
     return v
 
 
+class ReferenceSubspace:
+    """Oracle for ``Subspace``: reduced row echelon form on dicts of
+    index -> coefficient Fractions, one row per pivot index.
+
+    Input follows ``Subspace``'s rule: a ``WeightVector`` must carry the
+    same parameters, and anything else is checked as a ``ReferenceVector``.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self._rows = {}  # pivot index -> {index: coefficient}
+
+    @property
+    def dimension(self):
+        return len(self._rows)
+
+    def pivots(self):
+        return sorted(self._rows)
+
+    def _entries(self, vector):
+        if isinstance(vector, WeightVector):
+            if vector.params != self.params:
+                raise GroupMismatchError("vector belongs to different module parameters")
+            return vector.entries
+        return ReferenceVector(self.params, dict(vector)).entries
+
+    def _reduce(self, entries):
+        entries = {q: c for q, c in entries.items() if c != 0}
+        # each row is zero at every other pivot, so subtracting one row
+        # never brings back an entry at another pivot
+        for pivot in sorted(q for q in entries if q in self._rows):
+            c = entries[pivot]
+            for q, v in self._rows[pivot].items():
+                total = entries.get(q, 0) - c * v
+                if total == 0:
+                    entries.pop(q, None)
+                else:
+                    entries[q] = total
+        return entries
+
+    def insert(self, vector):
+        remainder = self._reduce(self._entries(vector))
+        if not remainder:
+            return False
+        pivot = min(remainder)
+        lead = remainder[pivot]
+        row = {q: c / lead for q, c in remainder.items()}
+        for other in self._rows.values():
+            c = other.get(pivot)
+            if c is None:
+                continue
+            for q, v in row.items():
+                total = other.get(q, 0) - c * v
+                if total == 0:
+                    other.pop(q, None)
+                else:
+                    other[q] = total
+        self._rows[pivot] = row
+        return True
+
+    def contains(self, vector):
+        return not self._reduce(self._entries(vector))
+
+    @property
+    def echelon_basis(self):
+        return [ReferenceVector(self.params, self._rows[p]) for p in self.pivots()]
+
+    def row_entries(self):
+        return [dict(self._rows[p]) for p in self.pivots()]
+
+    def is_pure_basis(self):
+        return all(row == {p: Fraction(1)} for p, row in self._rows.items())
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceSubspace):
+            return NotImplemented
+        return self.params == other.params and self._rows == other._rows
+
+
 def reference_closure(params, window, seeds):
     """Oracle for ``closure`` by exact elimination, with no use of d(0)
     separating the basis lines.
 
-    Inserts the seeds (index -> coefficient maps) into a ``Subspace``,
-    then applies every d(g) and I(g) with g in ``window.steps()`` to every
-    echelon row through ``reference_act``, clips each image to the window
-    and inserts it, until no insertion grows the span.
+    Inserts the seeds (index -> coefficient maps) into a
+    ``ReferenceSubspace``, then applies every d(g) and I(g) with g in
+    ``window.steps()`` to every echelon row through ``reference_act``,
+    clips each image to the window and inserts it, until no insertion
+    grows the span.
     """
     if not is_subgroup(window.group, params.group):
         raise GroupMismatchError("window group is not inside the module group")
-    sub = Subspace(params)
+    sub = ReferenceSubspace(params)
     for seed in seeds:
         entries = {Fraction(q): Fraction(c) for q, c in seed.items()}
         if any(q not in window for q in entries):

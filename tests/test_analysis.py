@@ -41,7 +41,7 @@ from hvir import (
     supernatural,
     transported_table,
 )
-from hvir.analysis import _adjacency
+from hvir.analysis import MAX_WINDOW_BOUND, _adjacency
 from helpers import (
     rand_fraction,
     rand_nonzero_fraction,
@@ -676,6 +676,19 @@ class TestSubspaceReduction:
         with pytest.raises(ValueError):
             closure(p, window_z(2), [{F(1, 2): 1}])
 
+    def test_vectors_of_other_parameters_rejected(self):
+        # a vector of other parameters is not checked against this group,
+        # so it must not enter the span: v(1/2) is no vector over Z
+        sub = Subspace(ModuleParams(F(0), F(1), F(0), Z))
+        for params, index in ((ModuleParams(F(1, 2), F(0), F(1), cyclic(F(1, 2))), F(1, 2)),
+                              (ModuleParams(F(0), F(2), F(0), Z), F(1))):
+            foreign = basis_vector(params, index)
+            with pytest.raises(GroupMismatchError):
+                sub.insert(foreign)
+            with pytest.raises(GroupMismatchError):
+                sub.contains(foreign)
+        assert sub.dimension == 0 and sub.echelon_basis == []
+
 
 class TestClosureOracle:
     """Reachability against exact elimination to a fixpoint."""
@@ -736,4 +749,24 @@ class TestClosureOracle:
         assert classification.verdict == VERDICT_CODIM_ONE
         assert dims[F(0)] == w.size
         assert proper == [q for q in w.indices() if q != 0]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("beta,verdict,dim_at_zero,dim_elsewhere", [
+        (F(1), VERDICT_CODIM_ONE, 4097, 4096),
+        (F(0), VERDICT_TRIVIAL_SUB, 1, 4097),
+        (F(2), VERDICT_IRREDUCIBLE, 4097, 4097),
+        (F(1, 2), VERDICT_IRREDUCIBLE, 4097, 4097),
+    ])
+    def test_scans_at_the_window_cap(self, beta, verdict, dim_at_zero, dim_elsewhere):
+        # with alpha = f = 0 every adjacency row misses one target (beta
+        # 1, 2 and 1/2) or position 0 reaches nothing (beta 0): the
+        # costliest reachability shapes at the largest window
+        p = ModuleParams(F(0), beta, F(0), Z)
+        w = Window(Z, MAX_WINDOW_BOUND)
+        began = time.perf_counter()
+        classification, dims, _ = scan_details(p, w)
+        elapsed = time.perf_counter() - began
+        assert classification.verdict == verdict
+        assert dims.pop(F(0)) == dim_at_zero
+        assert set(dims.values()) == {dim_elsewhere} and len(dims) == w.size - 1
         assert elapsed < 1.0

@@ -1,15 +1,20 @@
 """CLI behavior: golden outputs, determinism, structured reports, errors."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
 from hvir.cli import _sample_ranks, _unrank_triple, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +185,25 @@ class TestErrors:
         assert status == 1
         assert err.startswith("error[invalid-input]:")
 
+    @pytest.mark.parametrize("argv", [
+        ["--structured", "scan", "0,0,0@qk:0", "--window", "300"],
+        ["classify", "0,1,0@Q"],
+    ], ids=["long", "short"])
+    def test_closed_stdout_is_no_input_error(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes a byte
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "hvir.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env=dict(os.environ, PYTHONPATH=path),
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert child.stderr == b""
+
     def test_window_on_non_cyclic_group(self, capsys):
         status, _, err = run_cli(capsys, "scan", "0,1,0@Q", "--window", "3")
         assert status == 1
@@ -205,6 +229,20 @@ class TestCaps:
         began = time.perf_counter()
         status, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - began < 2.0
+        assert status == 1 and out == ""
+        assert err == "error[invalid-input]: %s\n" % message
+
+    @pytest.mark.parametrize("argv,message", [
+        (["jacobi", "--window", "0:16"], "jacobi check of 52394 triples exceeds the cap of 25000"),
+        (["jacobi", "--window", "0:2048", "--samples", "100000000"],
+         "jacobi check of 100000000 triples exceeds the cap of 25000"),
+        (["jacobi", "--window", "0:2", "--samples", "-1"],
+         "--samples must be non-negative, got -1"),
+    ])
+    def test_jacobi_triple_cap(self, capsys, argv, message):
+        began = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - began < 1.0
         assert status == 1 and out == ""
         assert err == "error[invalid-input]: %s\n" % message
 

@@ -1,5 +1,5 @@
-"""Differential tests of the integer-backed ``WeightVector`` and ``act``
-against the Fraction-dict oracle in ``helpers``."""
+"""Differential tests of the integer-backed ``WeightVector``, ``act`` and
+``Subspace`` against the Fraction-dict oracles in ``helpers``."""
 
 from fractions import Fraction
 from math import inf
@@ -12,9 +12,11 @@ from hvir import (
     CDI,
     FULL_Q,
     AlgebraElement,
+    GroupMismatchError,
     I,
     ModuleParams,
     SubalgebraError,
+    Subspace,
     WeightVector,
     act,
     act_word,
@@ -25,6 +27,7 @@ from hvir import (
     supernatural,
 )
 from helpers import (
+    ReferenceSubspace,
     ReferenceVector,
     reference_act,
     reference_act_word,
@@ -100,11 +103,10 @@ def assert_same(vector, reference):
 
 class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(vector_pairs(count=1), st.booleans())
-    def test_constructor(self, case, trusted):
+    @given(vector_pairs(count=1))
+    def test_constructor(self, case):
         params, _, (items,) = case
-        assert_same(WeightVector(params, items, _trusted=trusted),
-                    ReferenceVector(params, items, _trusted=trusted))
+        assert_same(WeightVector(params, items), ReferenceVector(params, items))
 
     @settings(max_examples=200, deadline=None)
     @given(params_and_indices(), st.lists(st.tuples(any_indices(), small_fractions),
@@ -116,9 +118,6 @@ class TestAgainstReference:
         except SubalgebraError:
             with pytest.raises(SubalgebraError):
                 WeightVector(params, items)
-            # the trusted path skips the membership check on both sides
-            assert_same(WeightVector(params, items, _trusted=True),
-                        ReferenceVector(params, items, _trusted=True))
         else:
             assert_same(WeightVector(params, items), reference)
 
@@ -199,3 +198,92 @@ class TestCanonicalForm:
             WeightVector(p, {0.5: 1})
         with pytest.raises(TypeError):
             WeightVector(p, {1: 1}) * 0.5
+
+
+@st.composite
+def subspace_inputs(draw):
+    """Module parameters and a list of Subspace inputs: WeightVectors,
+    plain dicts (some with indices outside the group or with float
+    values), vectors of other parameters, and combinations of earlier
+    inputs, which cancel to zero in the span."""
+    params, indices = draw(params_and_indices())
+    inputs, valid = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["vector", "dict", "dict", "combination", "bad"]))
+        if kind == "combination" and valid:
+            picked = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=3))
+            scalars = draw(st.lists(small_fractions, min_size=len(picked),
+                                    max_size=len(picked)))
+            value = WeightVector(params)
+            for vector, c in zip(picked, scalars):
+                value = value + c * vector
+            if draw(st.booleans()):
+                value = value.entries
+        elif kind == "bad":
+            q = draw(indices)
+            value = draw(st.sampled_from([
+                {q: 0.5},
+                {float(q): 1},
+                WeightVector(ModuleParams(params.alpha, params.beta + 1, params.f,
+                                          params.group), {q: 1}),
+            ]))
+        else:
+            items = draw(entry_lists(indices))
+            if kind == "vector":
+                value = WeightVector(params, items)
+            else:
+                # int and Fraction coefficients, zeros, and sometimes an
+                # index outside the group
+                value = {q: c.numerator if c.denominator == 1 and draw(st.booleans()) else c
+                         for q, c in items}
+                if draw(st.integers(0, 3)) == 0:
+                    value[draw(any_indices())] = draw(small_fractions)
+        inputs.append(value)
+        if kind == "bad":
+            continue
+        try:
+            valid.append(WeightVector(params, value) if isinstance(value, dict) else value)
+        except SubalgebraError:
+            pass
+    return params, inputs
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (TypeError, SubalgebraError, GroupMismatchError) as exc:
+        return type(exc)
+
+
+def assert_same_span(sub, ref):
+    assert sub.dimension == ref.dimension
+    assert sub.pivots() == ref.pivots()
+    assert sub.row_entries() == ref.row_entries()
+    assert all(type(q) is F and type(c) is F for row in sub.row_entries()
+               for q, c in row.items())
+    assert [str(v) for v in sub.echelon_basis] == [str(v) for v in ref.echelon_basis]
+    assert sub.is_pure_basis() == ref.is_pure_basis()
+
+
+class TestSubspaceAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(subspace_inputs(), st.data())
+    def test_insert_and_contains(self, case, data):
+        params, inputs = case
+        sub, ref = Subspace(params), ReferenceSubspace(params)
+        for value in inputs:
+            assert outcome(sub.contains, value) == outcome(ref.contains, value)
+            assert outcome(sub.insert, value) == outcome(ref.insert, value)
+            assert_same_span(sub, ref)
+            assert outcome(sub.contains, value) == outcome(ref.contains, value)
+        # the echelon form does not depend on the insertion order
+        shuffled = data.draw(st.permutations(inputs))
+        prefix = data.draw(st.integers(0, len(shuffled)))
+        other, other_ref = Subspace(params), ReferenceSubspace(params)
+        for value in shuffled[:prefix]:
+            outcome(other.insert, value)
+            outcome(other_ref.insert, value)
+        assert (sub == other) == (ref == other_ref)
+        for value in shuffled[prefix:]:
+            outcome(other.insert, value)
+        assert sub == other
