@@ -6,94 +6,12 @@ finite-window analysis engine that verifies the classification facts
 about those modules empirically and exactly.
 """
 
-from .algebra import (
-    CD,
-    CDI,
-    CENTERLESS,
-    CI,
-    EXACT_CENTRAL,
-    AlgebraElement,
-    BasisKey,
-    I,
-    RescalingMap,
-    ZERO,
-    apply_phi,
-    bracket,
-    d,
-    in_subalgebra,
-    jacobiator,
-    weight_components,
-)
-from .analysis import (
-    ActionTable,
-    Subspace,
-    Window,
-    align_extension,
-    closure,
-    intermediate_series_table,
-    intertwiner_check,
-    recover_params,
-    reducibility_scan,
-    restriction_report,
-    scan_details,
-    transported_table,
-)
-from .errors import (
-    AmbiguousTableError,
-    CentralTermError,
-    DisjointOverlapError,
-    GroupMismatchError,
-    HvirError,
-    IndexDomainError,
-    NonConstantScalingError,
-    NotIntermediateSeriesError,
-    ParseError,
-    SubalgebraError,
-)
-from .groups import (
-    FULL_Q,
-    INTEGERS,
-    TRIVIAL,
-    Cyclic,
-    FullQ,
-    SubgroupSpec,
-    Supernatural,
-    Trivial,
-    as_fraction,
-    contains,
-    cyclic,
-    finitely_generated,
-    is_subgroup,
-    normalize_alpha,
-    qk,
-    rank,
-    subgroup_intersect,
-    subgroup_sum,
-    supernatural,
-)
-from .intermediate import (
-    Classification,
-    IndexPredicate,
-    ModuleParams,
-    VERDICT_CODIM_ONE,
-    VERDICT_IRREDUCIBLE,
-    VERDICT_TRIVIAL_SUB,
-    WeightVector,
-    act,
-    act_word,
-    basis_vector,
-    classify,
-    iso_check,
-    pullback_params,
-    submodule_basis,
-)
-from .parsing import (
-    format_table,
-    parse_element,
-    parse_group,
-    parse_params,
-    parse_rational,
-    parse_table,
-)
+# each module's __all__ is its export list
+from .algebra import *
+from .analysis import *
+from .errors import *
+from .groups import *
+from .intermediate import *
+from .parsing import *
 
 __version__ = "0.1.0"

@@ -76,11 +76,11 @@ class BasisKey:
 
 
 def d(g):
-    return BasisKey("d", as_fraction(g))
+    return BasisKey("d", g)
 
 
 def I(g):  # noqa: E743 - matches the element grammar atom I(...)
-    return BasisKey("I", as_fraction(g))
+    return BasisKey("I", g)
 
 
 CD = BasisKey("CD")

@@ -35,7 +35,7 @@ from .errors import (
     NotIntermediateSeriesError,
     SubalgebraError,
 )
-from .groups import Cyclic, Trivial, as_fraction, contains, is_subgroup, qk
+from .groups import INTEGERS, Cyclic, Trivial, _multiple, as_fraction, contains, is_subgroup
 from .intermediate import (
     Classification,
     ModuleParams,
@@ -43,6 +43,7 @@ from .intermediate import (
     VERDICT_IRREDUCIBLE,
     VERDICT_TRIVIAL_SUB,
     WeightVector,
+    _require_qk,
     act,
     basis_vector,
     d_coefficient,
@@ -101,10 +102,8 @@ class Window:
         return [n * a for n in range(-self.bound, self.bound + 1)]
 
     def __contains__(self, q):
-        # q = n*step exactly when q.den * step.num divides q.num * step.den
-        q, a = as_fraction(q), self.step
-        n, r = divmod(q.numerator * a.denominator, q.denominator * a.numerator)
-        return r == 0 and abs(n) <= self.bound
+        n = _multiple(as_fraction(q), self.step)
+        return n is not None and abs(n) <= self.bound
 
     def steps(self):
         """Every generator index that can connect two window indices."""
@@ -218,10 +217,9 @@ def _adjacency(params, window):
     full = (1 << window.size) - 1
     rows = [full] * window.size
     u, v = params.beta.numerator, params.beta.denominator
-    k = -params.alpha * v / window.step
-    if params.f or k.denominator != 1:
+    k = _multiple(-params.alpha * v, window.step)
+    if params.f or k is None:
         return rows
-    k = int(k)
     for n in range(-bound, bound + 1):
         rest = k - (v - u) * n
         if u == 0:
@@ -273,7 +271,7 @@ def closure(params, window, seeds):
             if q not in window:
                 raise ValueError("seed index %s lies outside the window" % q)
             if c:
-                start |= 1 << (int(q / step) + bound)
+                start |= 1 << (_multiple(q, step) + bound)
     reached = _reach(_adjacency(params, window), start)
     sub = Subspace(params)
     # the line at position n + bound is v(n*step), in integer form
@@ -370,10 +368,8 @@ def restriction_report(params, subgroup, window):
         )
     # a nonzero subgroup of a cyclic group is cyclic
     assert isinstance(subgroup, Cyclic)
-    a = window.step
-    k = subgroup.generator / a
-    assert k.denominator == 1
-    k, bound = int(k), window.bound
+    a, bound = window.step, window.bound
+    k = _multiple(subgroup.generator, a)
     # residue r mod k is represented by r when r <= bound and by r - k
     # otherwise; the representatives of the residues the window meets
     # form one range of n
@@ -505,12 +501,8 @@ def transported_table(params, m, bound):
     entry applies the rescaled generator exactly and records the single
     resulting coefficient.
     """
-    if params.group != qk(m):
-        raise GroupMismatchError(
-            "transport of order %d needs index group %s, got %s"
-            % (m, qk(m), params.group)
-        )
-    window_z = Window(qk(0), bound)
+    _require_qk(params, m, "transport")
+    window_z = Window(INTEGERS, bound)
     phi = RescalingMap(m, CENTERLESS)
     M = phi.scale
     images = {
@@ -734,14 +726,11 @@ def align_extension(reference, candidate):
     indices = sorted(rescaled)
     for q in indices:
         for t in indices:
-            p = t - q
-            expected_d = d_coefficient(params.alpha, params.beta, q, p)
-            if act(params, d(p), rescaled[q]) != expected_d * rescaled[t]:
-                raise ValueError(
-                    "candidate violates the d-action relation from %s to %s" % (q, t)
-                )
-            if act(params, I(p), rescaled[q]) != params.f * rescaled[t]:
-                raise ValueError(
-                    "candidate violates the I-action relation from %s to %s" % (q, t)
-                )
+            for key in (d(t - q), I(t - q)):
+                coeff = _coefficient(key, q, params.alpha, params.beta, params.f)
+                if act(params, key, rescaled[q]) != coeff * rescaled[t]:
+                    raise ValueError(
+                        "candidate violates the %s-action relation from %s to %s"
+                        % (key.kind, q, t)
+                    )
     return rescaled

@@ -4,6 +4,19 @@ Every error carries a short stable ``code`` string; the CLI prints it so
 scripted callers can branch on failures without matching message text.
 """
 
+__all__ = [
+    "HvirError",
+    "ParseError",
+    "GroupMismatchError",
+    "SubalgebraError",
+    "CentralTermError",
+    "IndexDomainError",
+    "NotIntermediateSeriesError",
+    "AmbiguousTableError",
+    "NonConstantScalingError",
+    "DisjointOverlapError",
+]
+
 
 class HvirError(Exception):
     """Base class for all library errors."""

@@ -89,19 +89,83 @@ def _is_prime(n):
     return all(_is_strong_probable_prime(n, a) for a in _SPRP_BASES)
 
 
+_TRIAL_BOUND = 1000
+# Work budget for Pollard-Brent on one leftover denominator.  A step on a
+# b-bit number counts 1 + (b // 256)**2 units, since its modular products
+# grow with the square of the size: the budget is 500 000 steps below
+# 2**256 but 165 on 4300 digits, 0.1-0.3 s at any size on a 2-vCPU host
+# under Python 3.11.  It finds prime factors up to about 10**10.
+MAX_FACTOR_WORK = 500_000
+
+
 def _factorint(n):
-    """Prime factorization by trial division, used only for the part of a
-    cyclic denominator that a supernatural sum has not divided out."""
+    """Prime factorization of the part of a cyclic denominator that a
+    supernatural sum has not divided out.
+
+    Trial division takes the primes below ``_TRIAL_BOUND``, and Pollard-Brent
+    splits what is left until ``_is_prime`` certifies each part.  Past
+    ``MAX_FACTOR_WORK`` it raises ValueError.
+    """
     factors = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    p = 2
+    while p < _TRIAL_BOUND and p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    pending = [n] if n > 1 else []
+    work = 0
+    while pending:
+        m = pending.pop()
+        if m < _SPRP_EXACT_BELOW and _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d, work = _pollard_brent(m, work)
+            pending += [d, m // d]
     return factors
+
+
+def _pollard_brent(n, work):
+    """A proper factor of the composite n, which has no factor below
+    ``_TRIAL_BOUND``, and the work spent so far (Brent, BIT 20, 1980)."""
+    cost = 1 + (n.bit_length() // 256) ** 2
+
+    def spend(steps):
+        nonlocal work
+        work += steps * cost
+        if work > MAX_FACTOR_WORK:
+            raise ValueError(
+                "factoring a %d-bit denominator exceeds the budget of %d "
+                "Pollard-Brent work units" % (n.bit_length(), MAX_FACTOR_WORK)
+            )
+
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            spend(r)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, batch = y, min(128, r - k)
+                spend(batch)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the last batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, work
 
 
 def _check_prime_powers(items):
@@ -180,7 +244,7 @@ FULL_Q = FullQ()
 
 
 def cyclic(generator):
-    return Cyclic(as_fraction(generator))
+    return Cyclic(generator)
 
 
 # An all-finite supernatural map collapses to the cyclic group of 1/prod(p**e),
@@ -235,18 +299,17 @@ def contains(group, q):
         a = group.generator
         return q.numerator * a.denominator % (q.denominator * a.numerator) == 0
     if isinstance(group, Supernatural):
-        den = q.denominator
-        for p, e in group.exponents:
-            count = 0
-            while den % p == 0:
-                den //= p
-                count += 1
-            if e != inf and count > e:
-                return False
-        return den == 1
+        vals, rest = _valuations(q.denominator, group.exponent_map())
+        return rest == 1 and all(vals[p] <= e for p, e in group.exponents)
     if isinstance(group, FullQ):
         return True
     raise TypeError("not a subgroup spec: %r" % (group,))
+
+
+def _multiple(q, a):
+    """The integer n with q == n*a for a rational a > 0, or None."""
+    n, r = divmod(q.numerator * a.denominator, q.denominator * a.numerator)
+    return None if r else n
 
 
 def _valuations(n, primes):

@@ -188,9 +188,7 @@ class WeightVector:
         return self._combine(other, -1, "subtract")
 
     def __neg__(self):
-        return WeightVector._canonical(
-            self.params, self._L, self._D, {k: -c for k, c in self._num.items()}
-        )
+        return self * -1
 
     def __mul__(self, scalar):
         scalar = as_fraction(scalar)
@@ -232,7 +230,7 @@ def _set_canonical(self, params, L, D, num):
 
 
 def basis_vector(params, index):
-    return WeightVector(params, {as_fraction(index): Fraction(1)})
+    return WeightVector(params, {index: 1})
 
 
 def act(params, x, v):
@@ -387,13 +385,10 @@ def iso_check(p1, p2):
         return False, None
     if not contains(p1.group, p1.alpha - p2.alpha):
         return False, None
-    same_beta = p1.beta == p2.beta
-    swapped = (
-        p1.f == 0
-        and p1.alpha == 0  # normalized, so membership in the group means zero
-        and {p1.beta, p2.beta} == {Fraction(0), Fraction(1)}
-    )
-    if same_beta or swapped:
+    # with f equal and the alphas a group element apart, both modules are
+    # reducible or neither is, and reducible ones share their subquotient
+    reducible = VERDICT_IRREDUCIBLE not in (classify(p1).verdict, classify(p2).verdict)
+    if p1.beta == p2.beta or reducible:
         return True, p2.alpha - p1.alpha
     return False, None
 
@@ -404,9 +399,14 @@ def pullback_params(params, m):
     A module over {n/m!} becomes a module over the integers with alpha
     and f multiplied by m! and beta unchanged.
     """
-    if params.group != qk(m):
-        raise GroupMismatchError(
-            "pullback of order %d needs index group %s, got %s" % (m, qk(m), params.group)
-        )
+    _require_qk(params, m, "pullback")
     M = Fraction(factorial(m))
     return ModuleParams(M * params.alpha, params.beta, M * params.f, qk(0))
+
+
+def _require_qk(params, m, what):
+    """The order-m rescaling is defined on modules over qk(m) only."""
+    if params.group != qk(m):
+        raise GroupMismatchError(
+            "%s of order %d needs index group %s, got %s" % (what, m, qk(m), params.group)
+        )

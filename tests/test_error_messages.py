@@ -1,0 +1,103 @@
+"""Exact messages of error paths that no other test reaches."""
+
+from fractions import Fraction
+
+import pytest
+
+from hvir import (
+    GroupMismatchError,
+    ModuleParams,
+    ParseError,
+    Window,
+    align_extension,
+    basis_vector,
+    closure,
+    cyclic,
+    parse_element,
+    parse_table,
+    qk,
+    transported_table,
+)
+
+F = Fraction
+
+
+def message(exc_type, fn, *args):
+    with pytest.raises(exc_type) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestAnalysis:
+    def test_transport_needs_qk(self):
+        params = ModuleParams(0, 1, 2, cyclic(F(1, 3)))
+        assert message(GroupMismatchError, transported_table, params, 3, 2) == (
+            "transport of order 3 needs index group cyclic:1/6, got cyclic:1/3"
+        )
+
+    def test_closure_seed_of_other_params(self):
+        params = ModuleParams(0, 1, 2, qk(0))
+        other = ModuleParams(0, 1, 3, qk(0))
+        seed = basis_vector(other, 0)
+        assert message(GroupMismatchError, closure, params, Window(qk(0), 3), [seed]) == (
+            "seed belongs to different module parameters"
+        )
+
+    @staticmethod
+    def _candidate(params):
+        # agrees with the reference on indices 0 and 1, but v(2) is doubled
+        reference = {q: basis_vector(params, q) for q in (0, 1)}
+        candidate = dict(reference)
+        candidate[2] = basis_vector(params, 2) * 2
+        return reference, candidate
+
+    def test_align_d_relation(self):
+        # d(2) maps v(0) to (alpha + 0 + 2*beta) v(2) = v(2), not to v(2)/2
+        params = ModuleParams(0, F(1, 2), 1, qk(0))
+        assert message(ValueError, align_extension, *self._candidate(params)) == (
+            "candidate violates the d-action relation from 0 to 2"
+        )
+
+    def test_align_i_relation(self):
+        # with alpha = beta = 0, d(2) kills v(0), so the d relation holds
+        # from 0 to 2 and the I relation is the one that fails
+        params = ModuleParams(0, 0, 1, qk(0))
+        assert message(ValueError, align_extension, *self._candidate(params)) == (
+            "candidate violates the I-action relation from 0 to 2"
+        )
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("op,verb", [
+        (lambda v, w: v + w, "add"),
+        (lambda v, w: v - w, "subtract"),
+    ])
+    def test_other_module(self, op, verb):
+        v = basis_vector(ModuleParams(0, 1, 2, qk(0)), 0)
+        w = basis_vector(ModuleParams(0, 1, 3, qk(0)), 0)
+        assert message(GroupMismatchError, op, v, w) == (
+            "cannot %s vectors of different modules" % verb
+        )
+
+
+class TestParser:
+    @pytest.mark.parametrize("text,expected", [
+        ("", "empty element at offset 1"),
+        ("   ", "empty element at offset 4"),
+        ("d(1) d(2)", "expected '+' or '-' between terms at offset 6"),
+        ("2*CD CI", "expected '+' or '-' between terms at offset 6"),
+    ])
+    def test_element(self, text, expected):
+        assert message(ParseError, parse_element, text) == expected
+
+    @pytest.mark.parametrize("text,expected", [
+        ("", "empty table"),
+        (" \n\t\n", "empty table"),
+        ("window Q 2\n", "table windows require a cyclic group spec"),
+        ("window sn:2^inf 2\n", "table windows require a cyclic group spec"),
+        ("window qk:0 2\nd(0) 0 0\n", "table line needs 4 fields, got 'd(0) 0 0'"),
+        ("window qk:0 2\nd(0)x 0 0 1\n", "trailing input after generator at offset 5"),
+        ("window qk:0 2\nI(1)) 0 1 1\n", "trailing input after generator at offset 5"),
+    ])
+    def test_table(self, text, expected):
+        assert message(ParseError, parse_table, text) == expected
