@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, inf, lcm, prod
+from functools import cache
+from itertools import compress, count
+from math import factorial, gcd, inf, isqrt, lcm, log2, prod
 
 __all__ = [
     "SubgroupSpec",
@@ -89,69 +91,149 @@ def _is_prime(n):
     return all(_is_strong_probable_prime(n, a) for a in _SPRP_BASES)
 
 
-_TRIAL_BOUND = 1000
-# Work budget for Pollard-Brent on one leftover denominator.  A step on a
-# b-bit number counts 1 + (b // 256)**2 units, since its modular products
-# grow with the square of the size: the budget is 500 000 steps below
-# 2**256 but 165 on 4300 digits, 0.1-0.3 s at any size on a 2-vCPU host
-# under Python 3.11.  It finds prime factors up to about 10**10.
+_TRIAL_BOUND = 10 ** 5
+# Work budget for factoring one leftover denominator.  On a b-bit number a
+# division by a small prime counts 1 + b // 512 units and a Pollard-Brent
+# or Newton step 1 + (b // 256)**2, since its products grow with the square
+# of the size.  Both come to roughly 0.2-1 us a unit on a 2-vCPU host
+# under Python 3.11, so the budget is 0.1-0.5 s at any size.
 MAX_FACTOR_WORK = 500_000
+
+
+class _Budget:
+    """The work units left for factoring one denominator."""
+
+    def __init__(self, n):
+        self.left, self.bits = MAX_FACTOR_WORK, n.bit_length()
+
+    def spend(self, m, divisions=0, steps=0):
+        b = m.bit_length()
+        self.left -= divisions * (1 + b // 512) + steps * (1 + (b // 256) ** 2)
+        if self.left < 0:
+            raise ValueError(
+                "factoring a %d-bit denominator exceeds the budget of %d "
+                "work units" % (self.bits, MAX_FACTOR_WORK)
+            )
+
+
+@cache
+def _prime_flags():
+    """A byte per number below ``_TRIAL_BOUND``, set at the primes (sieve
+    of Eratosthenes)."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
+    return sieve
+
+
+def _small_primes():
+    """The primes below ``_TRIAL_BOUND``, in order."""
+    return compress(range(_TRIAL_BOUND), _prime_flags())
 
 
 def _factorint(n):
     """Prime factorization of the part of a cyclic denominator that a
     supernatural sum has not divided out.
 
-    Trial division takes the primes below ``_TRIAL_BOUND``, and Pollard-Brent
-    splits what is left until ``_is_prime`` certifies each part.  Past
-    ``MAX_FACTOR_WORK`` it raises ValueError.
+    Trial division takes the primes below ``_TRIAL_BOUND``.  Each part
+    left is reduced to its largest perfect-power root and then certified
+    by ``_is_prime`` or split by Pollard-Brent; a certified prime is
+    divided out of every pending part.  All of it is charged to one
+    ``MAX_FACTOR_WORK`` budget, past which it raises ValueError.
     """
+    budget = _Budget(n)
     factors = {}
-    p = 2
-    while p < _TRIAL_BOUND and p * p <= n:
+    for p in _small_primes():
+        if p * p > n:
+            break
+        budget.spend(n, divisions=1)
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-        p += 1 if p == 2 else 2
-    pending = [n] if n > 1 else []
-    work = 0
+            budget.spend(n, divisions=1)
+    pending = [(n, 1)] if n > 1 else []
     while pending:
-        m = pending.pop()
+        m, e = pending.pop()
+        m, k = _perfect_power(m, budget)
         if m < _SPRP_EXACT_BELOW and _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = k * e
+            left = []
+            for rest, f in pending:
+                vals, rest = _valuations(rest, [m])
+                factors[m] += vals[m] * f
+                if rest > 1:
+                    left.append((rest, f))
+            pending = left
         else:
-            d, work = _pollard_brent(m, work)
-            pending += [d, m // d]
+            d = _pollard_brent(m, budget)
+            pending += [(d, k * e), (m // d, k * e)]
     return factors
 
 
-def _pollard_brent(n, work):
+@cache
+def _residue_prime(q):
+    """The least prime l = 1 (mod q); modulo l only one nonzero residue
+    in q is a q-th power."""
+    return next(l for l in count(q + 1, q) if _is_prime(l))
+
+
+def _perfect_power(m, budget):
+    """``(r, k)`` with ``r**k == m`` and k as large as possible, for an m
+    with no prime factor below ``_TRIAL_BOUND``: such an r is at least
+    ``_TRIAL_BOUND``, so only exponents q with ``_TRIAL_BOUND**q <= m``
+    are tried."""
+    low = _TRIAL_BOUND.bit_length() - 1
+    k = 1
+    for q in _small_primes():
+        if q * low >= m.bit_length():
+            break
+        while (r := _exact_root(m, q, budget)) is not None:
+            m, k = r, k * q
+    return m, k
+
+
+def _exact_root(m, q, budget):
+    """The r with ``r**q == m``, or None if m is no q-th power.
+
+    One residue test modulo ``_residue_prime(q)`` rules out most m; the
+    rest get Newton's method.
+    """
+    l = _residue_prime(q)
+    budget.spend(m, divisions=1)
+    if m % l and pow(m % l, (l - 1) // q, l) != 1:
+        return None
+
+    def newton(x):
+        budget.spend(m, steps=1)
+        return ((q - 1) * x + m // x ** (q - 1)) // q
+
+    # by the AM-GM inequality one step from any x > 0 lands at or above the
+    # integer root, and from there the steps fall until they reach it
+    shift = max(m.bit_length() // q - 32, 0)
+    x = newton(int(2 ** (log2(m) / q - shift)) + 1 << shift)
+    while (y := newton(x)) < x:
+        x = y
+    return x if x ** q == m else None
+
+
+def _pollard_brent(n, budget):
     """A proper factor of the composite n, which has no factor below
-    ``_TRIAL_BOUND``, and the work spent so far (Brent, BIT 20, 1980)."""
-    cost = 1 + (n.bit_length() // 256) ** 2
-
-    def spend(steps):
-        nonlocal work
-        work += steps * cost
-        if work > MAX_FACTOR_WORK:
-            raise ValueError(
-                "factoring a %d-bit denominator exceeds the budget of %d "
-                "Pollard-Brent work units" % (n.bit_length(), MAX_FACTOR_WORK)
-            )
-
+    ``_TRIAL_BOUND`` (Brent, BIT 20, 1980)."""
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            spend(r)
+            budget.spend(n, steps=r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys, batch = y, min(128, r - k)
-                spend(batch)
+                budget.spend(n, steps=batch)
                 for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
@@ -162,10 +244,11 @@ def _pollard_brent(n, work):
             # the last batch overshot: redo it one gcd at a time
             g = 1
             while g == 1:
+                budget.spend(n, steps=1)
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:
-            return g, work
+            return g
 
 
 def _check_prime_powers(items):

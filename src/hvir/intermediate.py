@@ -385,8 +385,8 @@ def iso_check(p1, p2):
         return False, None
     if not contains(p1.group, p1.alpha - p2.alpha):
         return False, None
-    # with f equal and the alphas a group element apart, both modules are
-    # reducible or neither is, and reducible ones share their subquotient
+    # when both are reducible, f = 0, alpha = 0 and the betas lie in
+    # {0, 1}, and those share their subquotient
     reducible = VERDICT_IRREDUCIBLE not in (classify(p1).verdict, classify(p2).verdict)
     if p1.beta == p2.beta or reducible:
         return True, p2.alpha - p1.alpha

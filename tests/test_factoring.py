@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvir import cyclic, subgroup_sum, supernatural
-from hvir.groups import MAX_FACTOR_WORK, _factorint
+from hvir.groups import MAX_FACTOR_WORK, _Budget, _exact_root, _factorint, _is_prime
+
+# below and above the trial-division bound of 10**5
+SMALL_PRIMES = [2, 3, 5, 997, 1009, 65537, 99991]
+LARGE_PRIMES = [100003, 1000003, 10000019]
+# all 1061 primes between 1000 and 10**4
+MIDDLE_PRIMES = [p for p in range(1001, 10 ** 4, 2) if _is_prime(p)]
 
 
 class TestBoundedFactoring:
-    """The leftover of a cyclic-plus-supernatural sum is factored by
-    Pollard-Brent under a work budget, and fails with a named error past it."""
+    """The leftover of a cyclic-plus-supernatural sum is factored by trial
+    division, perfect-power roots and Pollard-Brent under one work budget,
+    and fails with a named error past it."""
 
     def test_product_of_two_eight_digit_primes(self):
         began = time.perf_counter()
@@ -28,8 +35,8 @@ class TestBoundedFactoring:
             _factorint(leftover)
         assert time.perf_counter() - began < 2.0
         assert str(info.value) == (
-            "factoring a %d-bit denominator exceeds the budget of %d Pollard-Brent "
-            "work units" % (leftover.bit_length(), MAX_FACTOR_WORK)
+            "factoring a %d-bit denominator exceeds the budget of %d work units"
+            % (leftover.bit_length(), MAX_FACTOR_WORK)
         )
 
     @pytest.mark.parametrize("p,q", [
@@ -44,11 +51,34 @@ class TestBoundedFactoring:
             assert "exceeds the budget of %d" % MAX_FACTOR_WORK in str(exc)
         assert time.perf_counter() - began < 1.0
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from([2, 3, 5, 997, 1009, 65537, 1000003, 10000019]),
-                    max_size=6))
-    def test_factors_products_of_known_primes(self, primes):
-        expected = {}
-        for p in primes:
-            expected[p] = expected.get(p, 0) + 1
-        assert _factorint(prod(primes)) == expected
+    @pytest.mark.parametrize("factors", [
+        {1009: 1400},
+        dict.fromkeys(MIDDLE_PRIMES, 1),
+        {100003: 800},
+        {100003: 300, 100019: 300},
+        {7: 5, 100003: 800},
+        {3: 1, 2 ** 61 - 1: 50},
+        {100003: 40, 100019: 3},
+    ], ids=["1009^1400", "primes-1000-10^4", "100003^800", "(100003*100019)^300",
+            "7^5*100003^800", "3*(2^61-1)^50", "100003^40*100019^3"])
+    def test_large_leftovers_factor_within_a_second(self, factors):
+        began = time.perf_counter()
+        assert _factorint(prod(p ** e for p, e in factors.items())) == factors
+        assert time.perf_counter() - began < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 2 ** 200), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 101]))
+    def test_exact_root(self, r, q):
+        m = r ** q
+        assert _exact_root(m, q, _Budget(m)) == r
+        assert _exact_root(m - 1, q, _Budget(m)) is None
+        assert _exact_root(m + 1, q, _Budget(m)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(SMALL_PRIMES), st.integers(1, 60)),
+        st.dictionaries(st.sampled_from(LARGE_PRIMES), st.integers(1, 8)),
+    )
+    def test_factors_products_of_known_prime_powers(self, small, large):
+        expected = {**small, **large}
+        assert _factorint(prod(p ** e for p, e in expected.items())) == expected
