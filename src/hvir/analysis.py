@@ -541,22 +541,17 @@ def _chain_scales(window, edges, base):
         adjacency.setdefault(src, []).append((tgt, ratio))
         adjacency.setdefault(tgt, []).append((src, 1 / ratio))
     scales = {base: Fraction(1)}
-    frontier = [base]
-    while frontier:
-        new_frontier = []
-        for src in frontier:
-            for tgt, ratio in sorted(adjacency.get(src, [])):
-                # ratio = c(src)/c(tgt), so c(tgt) = c(src)/ratio
-                value = scales[src] / ratio
-                if tgt in scales:
-                    if scales[tgt] != value:
-                        raise NotIntermediateSeriesError(
-                            "inconsistent scale chain at index %s" % tgt
-                        )
-                    continue
+    stack = [base]
+    while stack:
+        src = stack.pop()
+        for tgt, ratio in adjacency.get(src, ()):
+            # ratio = c(src)/c(tgt), so c(tgt) = c(src)/ratio
+            value = scales[src] / ratio
+            if tgt not in scales:
                 scales[tgt] = value
-                new_frontier.append(tgt)
-        frontier = new_frontier
+                stack.append(tgt)
+            elif scales[tgt] != value:
+                raise NotIntermediateSeriesError("inconsistent scale chain at index %s" % tgt)
     missing = [q for q in window.indices() if q not in scales]
     if missing:
         raise AmbiguousTableError(

@@ -45,8 +45,8 @@ from .analysis import (
 )
 from .errors import HvirError, ParseError
 from .intermediate import act, basis_vector, classify, iso_check
-from .parsing import (parse_element, parse_group, parse_params, parse_qk_window,
-                      parse_rational, parse_table)
+from .parsing import (parse_element, parse_group, parse_integer, parse_natural, parse_params,
+                      parse_qk_window, parse_rational, parse_table)
 
 _REPORT_KEYS = ("params", "window", "verdict", "dimensions", "basisIndices", "cosets")
 
@@ -108,22 +108,24 @@ def _unrank_triple(rank, size):
 
 def _cmd_jacobi(args):
     window = parse_qk_window(args.window)
+    samples = None if args.samples is None else parse_integer(args.samples, "sample count")
+    seed = parse_integer(args.seed, "seed")
     # d(g) and I(g) at each window index, then CD, CDI and CI
     count = comb(2 * window.size + 3, 3)
-    if args.samples is not None:
-        if args.samples < 0:
-            raise ValueError("--samples must be non-negative, got %d" % args.samples)
-        count = min(args.samples, count)
+    if samples is not None:
+        if samples < 0:
+            raise ValueError("--samples must be non-negative, got %d" % samples)
+        count = min(samples, count)
     if count > MAX_JACOBI_TRIPLES:
         raise ValueError(
             "jacobi check of %d triples exceeds the cap of %d" % (count, MAX_JACOBI_TRIPLES)
         )
     keys = _basis_keys(window)
     triples = combinations(keys, 3)
-    if args.samples is not None:
+    if samples is not None:
         triples = (
             tuple(keys[i] for i in _unrank_triple(rank, len(keys)))
-            for rank in _sample_ranks(len(keys), args.samples, args.seed)
+            for rank in _sample_ranks(len(keys), samples, seed)
         )
     checked = 0
     for x, y, z in triples:
@@ -178,8 +180,7 @@ def _cmd_iso(args):
 
 
 def _cmd_phi(args):
-    variant = EXACT_CENTRAL if args.variant == "exact" else CENTERLESS
-    rescaling = RescalingMap(args.m, variant)
+    rescaling = RescalingMap(parse_natural(args.m, "rescaling order"), args.variant)
     result = apply_phi(rescaling, parse_element(args.element))
     _emit(args, [str(result)], element=str(result))
     return 0
@@ -189,9 +190,13 @@ def _parse_seeds(text):
     return [parse_rational(part) for part in text.split(",") if part != ""]
 
 
+def _window(params, text):
+    return Window(params.group, parse_natural(text, "window bound"))
+
+
 def _cmd_closure(args):
     params = parse_params(args.params)
-    window = Window(params.group, args.window)
+    window = _window(params, args.window)
     seeds = [basis_vector(params, q) for q in _parse_seeds(args.seed)]
     if not seeds:
         raise ParseError("closure needs at least one seed index")
@@ -214,7 +219,7 @@ def _cmd_closure(args):
 
 def _cmd_scan(args):
     params = parse_params(args.params)
-    window = Window(params.group, args.window)
+    window = _window(params, args.window)
     classification, dims, proper = scan_details(params, window)
     dims_text = ", ".join("%s:%d" % (q, dim) for q, dim in sorted(dims.items()))
     lines = [
@@ -237,7 +242,7 @@ def _cmd_scan(args):
 
 def _cmd_restrict(args):
     params = parse_params(args.params)
-    window = Window(params.group, args.window)
+    window = _window(params, args.window)
     subgroup = parse_group(args.subgroup)
     report = restriction_report(params, subgroup, window)
     lines = ["%s -> %s" % (rep, sub_params) for rep, sub_params in report]
@@ -286,8 +291,8 @@ def build_parser():
 
     p = sub.add_parser("jacobi", help="verify the Jacobi identity on a window")
     p.add_argument("--window", required=True, metavar="K:BOUND")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples")
+    p.add_argument("--seed", default="0")
     p.set_defaults(handler=_cmd_jacobi)
 
     p = sub.add_parser("act", help="act an element on a basis vector")
@@ -306,26 +311,26 @@ def build_parser():
     p.set_defaults(handler=_cmd_iso)
 
     p = sub.add_parser("phi", help="apply the index rescaling map")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--variant", choices=("exact", "centerless"), required=True)
+    p.add_argument("--m", required=True)
+    p.add_argument("--variant", choices=(EXACT_CENTRAL, CENTERLESS), required=True)
     p.add_argument("element")
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("closure", help="submodule closure of seed vectors")
     p.add_argument("params")
-    p.add_argument("--window", type=int, required=True, metavar="BOUND")
+    p.add_argument("--window", required=True, metavar="BOUND")
     p.add_argument("--seed", required=True, metavar="INDEX[,INDEX]*")
     p.set_defaults(handler=_cmd_closure)
 
     p = sub.add_parser("scan", help="empirical reducibility scan")
     p.add_argument("params")
-    p.add_argument("--window", type=int, required=True, metavar="BOUND")
+    p.add_argument("--window", required=True, metavar="BOUND")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("restrict", help="coset decomposition along a subgroup")
     p.add_argument("params")
     p.add_argument("--subgroup", required=True, metavar="GROUPSPEC")
-    p.add_argument("--window", type=int, required=True, metavar="BOUND")
+    p.add_argument("--window", required=True, metavar="BOUND")
     p.set_defaults(handler=_cmd_restrict)
 
     p = sub.add_parser("recover", help="recover parameters from a table file")

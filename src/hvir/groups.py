@@ -330,10 +330,11 @@ def cyclic(generator):
     return Cyclic(generator)
 
 
-# An all-finite supernatural map collapses to the cyclic group of 1/prod(p**e),
-# whose denominator, like a rational literal, has at most 4300 digits.
-MAX_DENOMINATOR_DIGITS = 4300
-_DENOMINATOR_LIMIT = 10 ** MAX_DENOMINATOR_DIGITS
+# Most decimal digits of one integer of the input, and of the denominator
+# 1/prod(p**e) that an all-finite supernatural map collapses to: Python's
+# default limit for int-string conversion, so every literal it converts parses.
+MAX_DIGITS = 4300
+_DENOMINATOR_LIMIT = 10 ** MAX_DIGITS
 
 
 def supernatural(exponents):
@@ -348,7 +349,7 @@ def supernatural(exponents):
         # p**e >= 2**e, so a larger e overshoots the cap before it is raised
         if e >= _DENOMINATOR_LIMIT.bit_length() or denom * p ** e >= _DENOMINATOR_LIMIT:
             raise ValueError("the denominator of an all-finite map exceeds the cap of "
-                             "%d digits" % MAX_DENOMINATOR_DIGITS)
+                             "%d digits" % MAX_DIGITS)
         denom *= p ** e
     return Cyclic(Fraction(1, denom))
 

@@ -11,8 +11,9 @@ Element grammar (recursive descent, 1-based error offsets):
 
 The single token ``0`` denotes the zero element.  Group specs: ``0``,
 ``cyclic:<rational>``, ``qk:<k>``, ``sn:<p>^<e|inf>[,...]``, ``Q``.
-Module parameters: ``alpha,beta,F@<groupspec>``.  Every integer is a run
-of at most ``MAX_LITERAL_DIGITS`` ASCII digits.
+Module parameters: ``alpha,beta,F@<groupspec>``.  Every integer of the
+input, the CLI's integer options included, is a run of at most
+``groups.MAX_DIGITS`` ASCII digits read by ``_Scanner.digits``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import inf
 from .algebra import CD, CDI, CI, AlgebraElement, I, d
 from .analysis import ActionTable, Window, _entry_order
 from .errors import ParseError
-from .groups import FULL_Q, TRIVIAL, Cyclic, cyclic, qk, supernatural
+from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
 
 __all__ = [
@@ -36,14 +37,9 @@ __all__ = [
 ]
 
 
-# Longest digit run accepted in one integer: Python's default limit for
-# int-string conversion, so every literal it converts parses.
-MAX_LITERAL_DIGITS = 4300
-
-
 class _Scanner:
     """Cursor over one field of input text; ``digits`` reads every integer
-    of the grammars, with 1-based offsets in its errors."""
+    of the input and ``sign`` every sign, with 1-based offsets in errors."""
 
     def __init__(self, text, pos=0):
         self.text = text
@@ -83,30 +79,34 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             self.error("expected %s" % what)
-        if self.pos - start > MAX_LITERAL_DIGITS:
+        if self.pos - start > MAX_DIGITS:
             self.error(
                 "literal of %d digits exceeds the cap of %d digits"
-                % (self.pos - start, MAX_LITERAL_DIGITS),
+                % (self.pos - start, MAX_DIGITS),
                 start,
             )
         return int(self.text[start:self.pos])
 
+    def sign(self):
+        """-1 after a ``-``, else 1; reads an optional ``+`` or ``-``."""
+        ch = self.peek()
+        if ch in ("+", "-"):
+            self.pos += 1
+        return -1 if ch == "-" else 1
+
+    def integer(self):
+        return self.sign() * self.digits()
+
     def rational(self):
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        elif self.peek() == "+":
-            self.pos += 1
-        num = self.digits()
+        num = self.integer()
         if self.peek() == "/":
             self.pos += 1
             den_pos = self.pos
             den = self.digits()
             if den == 0:
                 self.error("denominator must be positive", den_pos)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return Fraction(num, den)
+        return Fraction(num)
 
     def word(self):
         start = self.pos
@@ -115,11 +115,27 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
-def parse_rational(text):
-    """Parse a full string as an exact rational."""
+def _field(text, read, what):
+    """``read(scanner)`` over the whole of ``text``, which may have blanks
+    around the value and nothing else."""
     s = _Scanner(text)
     s.skip_ws()
-    return s.finish(s.rational(), "rational")
+    return s.finish(read(s), what)
+
+
+def parse_rational(text):
+    """Parse a full string as an exact rational."""
+    return _field(text, _Scanner.rational, "rational")
+
+
+def parse_natural(text, what):
+    """Parse a full string as an unsigned run of digits."""
+    return _field(text, _Scanner.digits, what)
+
+
+def parse_integer(text, what):
+    """Parse a full string as a run of digits with an optional sign."""
+    return _field(text, _Scanner.integer, what)
 
 
 def _parse_atom(s):
@@ -153,12 +169,7 @@ def parse_element(text):
     if s.at_end():
         s.error("empty element")
     terms = []
-    sign = 1
-    if s.peek() == "-":
-        sign = -1
-        s.pos += 1
-    elif s.peek() == "+":
-        s.pos += 1
+    sign = s.sign()
     while True:
         s.skip_ws()
         if s.at_digit():
@@ -173,14 +184,9 @@ def parse_element(text):
         s.skip_ws()
         if s.at_end():
             break
-        ch = s.peek()
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
-        else:
+        if s.peek() not in ("+", "-"):
             s.error("expected '+' or '-' between terms")
-        s.pos += 1
+        sign = s.sign()
     return AlgebraElement(terms)
 
 
@@ -255,18 +261,6 @@ def parse_params(text):
         raise ParseError(str(exc)) from exc
 
 
-def _parse_generator(text):
-    s = _Scanner(text)
-    s.skip_ws()
-    key = _parse_atom(s)
-    s.skip_ws()
-    if not s.at_end():
-        s.error("trailing input after generator")
-    if key.is_central:
-        raise ParseError("table generators must be d(...) or I(...) symbols")
-    return key
-
-
 def parse_table(text):
     """Parse an action-table file.
 
@@ -284,14 +278,13 @@ def parse_table(text):
     group = parse_group(header[1])
     if not isinstance(group, Cyclic):
         raise ParseError("table windows require a cyclic group spec")
-    bound = _Scanner(header[2])
-    window = Window(group, bound.finish(bound.digits(), "table window bound"))
+    window = Window(group, parse_natural(header[2], "table window bound"))
     entries = {}
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
             raise ParseError("table line needs 4 fields, got %r" % line)
-        key = _parse_generator(fields[0])
+        key = _field(fields[0], _parse_atom, "generator")
         src = parse_rational(fields[1])
         tgt = parse_rational(fields[2])
         coeff = parse_rational(fields[3])

@@ -139,6 +139,18 @@ class TestVerbs:
         assert status == 0
         assert out == "isomorphic: true\nwitness: 1\n"
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["classify", "--", "-1/3,1,0@Q"], "verdict: ReducibleCodimOne\n"),
+        (["act", "0,1,1@qk:0", "--at", "0", "--", "-2*d(1)"], "-2*v(1)\n"),
+        (["closure", "0,0,1@qk:0", "--window", "3", "--seed=-1,0"], "dimension: 7\n"),
+    ])
+    def test_values_that_begin_with_a_minus(self, capsys, argv, expected):
+        # argparse takes a word that begins with '-' for an option, so such
+        # values go after '--' or in the --name=value form
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 0 and err == ""
+        assert out.startswith(expected)
+
     def test_recover_from_file(self, capsys, tmp_path):
         from hvir import ModuleParams, Window, format_table, intermediate_series_table, qk
         from fractions import Fraction as F
@@ -329,9 +341,30 @@ def lifted_int_digits(fn, *args):
         sys.set_int_max_str_digits(limit)
 
 
+# each integer option: a call with its value at the "%s", the name its
+# errors give the value, and whether the value may carry a sign
+OPTION_USES = [
+    (["scan", "0,1,0@qk:0", "--window", "%s"], "window bound", False),
+    (["closure", "0,1,0@qk:0", "--window", "%s", "--seed", "0"], "window bound", False),
+    (["restrict", "0,1,0@qk:0", "--subgroup", "qk:0", "--window", "%s"], "window bound", False),
+    (["phi", "--m", "%s", "--variant", "exact", "d(0)"], "rescaling order", False),
+    (["jacobi", "--window", "1:1", "--samples", "%s"], "sample count", True),
+    (["jacobi", "--window", "1:1", "--samples", "3", "--seed", "%s"], "seed", True),
+]
+BAD_OPTION_VALUES = [
+    ([arg.replace("%s", value) for arg in argv], message)
+    for argv, what, signed in OPTION_USES
+    for value, message in [
+        ("\u0663", "expected a digit at offset 1"),
+        ("1_0", "trailing input after %s at offset 2" % what),
+    ] + ([] if signed else [("+3", "expected a digit at offset 1")])
+]
+
+
 class TestIntegerFields:
-    """Every integer of the text input is read by one digit reader: ASCII
-    0-9 only, at most 4300 digits, with the offset in the error."""
+    """Every integer of the input, the CLI's integer options included, is
+    read by one digit reader: ASCII 0-9 only, at most 4300 digits, with the
+    offset in the error."""
 
     @pytest.mark.parametrize("argv,message", [
         (["classify", "1/7,1,0@qk:" + "1" * 5000],
@@ -351,7 +384,9 @@ class TestIntegerFields:
          "literal of 4301 digits exceeds the cap of 4300 digits at offset 3"),
         (["jacobi", "--window=-1:2"], "expected a digit at offset 1"),
         (["jacobi", "--window", "1:2:3"], "trailing input after window bound at offset 4"),
-    ])
+        (["scan", "0,1,0@qk:0", "--window", "1" * 4301],
+         "literal of 4301 digits exceeds the cap of 4300 digits at offset 1"),
+    ] + BAD_OPTION_VALUES)
     def test_bad_integers_are_syntax_errors(self, capsys, argv, message):
         began = time.perf_counter()
         status, out, err = run_cli(capsys, *argv)
@@ -376,6 +411,11 @@ class TestIntegerFields:
         assert status == 0 and out == "jacobi: OK (680 triples checked)\n"
         status, out, _ = run_cli(capsys, "--structured", "classify", "0,1,0@sn:2^inf,3^2")
         assert status == 0 and json.loads(out)["params"] == "0,1,0@sn:2^inf,3^2"
+        status, out, _ = run_cli(
+            capsys, "jacobi", "--window", "1:1", "--samples", " +3", "--seed", "-5")
+        assert status == 0 and out == "jacobi: OK (3 triples checked)\n"
+        assert run_cli(capsys, "scan", "0,1,0@qk:0", "--window", " 2 ") == run_cli(
+            capsys, "scan", "0,1,0@qk:0", "--window", "2")
 
     def test_collapsed_supernatural_cap(self, capsys):
         began = time.perf_counter()

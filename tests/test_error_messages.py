@@ -98,6 +98,9 @@ class TestParser:
         ("window qk:0 2\nd(0) 0 0\n", "table line needs 4 fields, got 'd(0) 0 0'"),
         ("window qk:0 2\nd(0)x 0 0 1\n", "trailing input after generator at offset 5"),
         ("window qk:0 2\nI(1)) 0 1 1\n", "trailing input after generator at offset 5"),
+        ("window qk:0 2\nCD 0 0 1\n", "table generators must be d(...) or I(...) symbols"),
+        # ActionTable checks the generators once every line has parsed
+        ("window qk:0 2\nCD 0 0 1\nd(0) 0 0\n", "table line needs 4 fields, got 'd(0) 0 0'"),
     ])
     def test_table(self, text, expected):
         assert message(ParseError, parse_table, text) == expected
