@@ -98,8 +98,7 @@ class Window:
         return 2 * self.bound + 1
 
     def indices(self):
-        a = self.step
-        return [n * a for n in range(-self.bound, self.bound + 1)]
+        return self._multiples(self.bound)
 
     def __contains__(self, q):
         n = _multiple(as_fraction(q), self.step)
@@ -107,8 +106,12 @@ class Window:
 
     def steps(self):
         """Every generator index that can connect two window indices."""
-        a = self.step
-        return [n * a for n in range(-2 * self.bound, 2 * self.bound + 1)]
+        return self._multiples(2 * self.bound)
+
+    def _multiples(self, reach):
+        """n*step for |n| <= reach; Fraction(n*num, den) costs less than n*step."""
+        num, den = self.step.numerator, self.step.denominator
+        return [Fraction(n * num, den) for n in range(-reach, reach + 1)]
 
     def __str__(self):
         return "%s:%d" % (self.group, self.bound)

@@ -43,7 +43,7 @@ from .analysis import (
     restriction_report,
     scan_details,
 )
-from .errors import HvirError, ParseError
+from .errors import HvirError
 from .intermediate import act, basis_vector, classify, iso_check
 from .parsing import (parse_element, parse_group, parse_integer, parse_natural, parse_params,
                       parse_qk_window, parse_rational, parse_table)
@@ -186,10 +186,6 @@ def _cmd_phi(args):
     return 0
 
 
-def _parse_seeds(text):
-    return [parse_rational(part) for part in text.split(",") if part != ""]
-
-
 def _window(params, text):
     return Window(params.group, parse_natural(text, "window bound"))
 
@@ -197,9 +193,7 @@ def _window(params, text):
 def _cmd_closure(args):
     params = parse_params(args.params)
     window = _window(params, args.window)
-    seeds = [basis_vector(params, q) for q in _parse_seeds(args.seed)]
-    if not seeds:
-        raise ParseError("closure needs at least one seed index")
+    seeds = [basis_vector(params, parse_rational(q)) for q in args.seed.split(",")]
     span = closure(params, window, seeds)
     pivots = [str(p) for p in span.pivots()]
     _emit(

@@ -36,6 +36,9 @@ __all__ = [
     "format_table",
 ]
 
+# the blanks a field may have around its value and between its tokens
+_BLANKS = " \t"
+
 
 class _Scanner:
     """Cursor over one field of input text; ``digits`` reads every integer
@@ -58,7 +61,7 @@ class _Scanner:
         return "0" <= self.peek() <= "9"
 
     def skip_ws(self):
-        while not self.at_end() and self.text[self.pos] in " \t":
+        while not self.at_end() and self.text[self.pos] in _BLANKS:
             self.pos += 1
 
     def expect(self, ch):
@@ -157,15 +160,10 @@ def _parse_atom(s):
 
 def parse_element(text):
     """Parse the element grammar into canonical pruned form."""
+    if text.strip(_BLANKS) == "0":
+        return AlgebraElement()
     s = _Scanner(text)
     s.skip_ws()
-    if s.peek() == "0":
-        mark = s.pos
-        s.pos += 1
-        s.skip_ws()
-        if s.at_end():
-            return AlgebraElement()
-        s.pos = mark
     if s.at_end():
         s.error("empty element")
     terms = []
@@ -190,50 +188,53 @@ def parse_element(text):
     return AlgebraElement(terms)
 
 
+def _read_exponents(s):
+    """The ``<p>^<e|inf>[,...]`` list of an ``sn:`` spec, read to its end."""
+    exponents = {}
+    while True:
+        p_pos = s.pos
+        p = s.digits()
+        s.expect("^")
+        e_pos = s.pos
+        if s.text.startswith("inf", e_pos):
+            s.pos += len("inf")
+            e = inf
+        else:
+            e = s.digits("a digit or 'inf'")
+            if e == 0:
+                s.error("supernatural exponent must be positive", e_pos)
+        if p in exponents:
+            s.error("duplicate prime %d in supernatural spec" % p, p_pos)
+        exponents[p] = e
+        if s.at_end():
+            return exponents
+        s.expect(",")
+        s.skip_ws()
+
+
 def parse_group(text):
     """Parse and canonicalize a subgroup spec.  Error offsets count from
     the first non-blank character of the spec."""
-    t = text.strip()
+    t = text.strip(_BLANKS)
     if t == "0":
         return TRIVIAL
     if t == "Q":
         return FULL_Q
-    if t.startswith("cyclic:"):
-        s = _Scanner(t, len("cyclic:"))
-        s.skip_ws()
-        try:
-            return cyclic(s.finish(s.rational(), "rational"))
-        except ValueError as exc:
-            raise ParseError("bad cyclic spec %r: %s" % (t, exc)) from exc
-    if t.startswith("qk:"):
-        s = _Scanner(t, len("qk:"))
+    kind, colon, _ = t.partition(":")
+    s = _Scanner(t, len(kind) + 1)
+    s.skip_ws()
+    if colon and kind == "qk":
         return qk(s.finish(s.digits(), "qk order"))
-    if t.startswith("sn:"):
-        s = _Scanner(t, len("sn:"))
-        exponents = {}
-        while True:
-            p_pos = s.pos
-            p = s.digits()
-            s.expect("^")
-            e_pos = s.pos
-            if t.startswith("inf", e_pos):
-                s.pos += len("inf")
-                e = inf
-            else:
-                e = s.digits("a digit or 'inf'")
-                if e == 0:
-                    s.error("supernatural exponent must be positive", e_pos)
-            if p in exponents:
-                s.error("duplicate prime %d in supernatural spec" % p, p_pos)
-            exponents[p] = e
-            if s.at_end():
-                break
-            s.expect(",")
-        try:
-            return supernatural(exponents)
-        except ValueError as exc:
-            raise ParseError("bad supernatural spec %r: %s" % (t, exc)) from exc
-    raise ParseError("unknown group spec %r" % t)
+    if colon and kind == "cyclic":
+        value, build, name = s.finish(s.rational(), "rational"), cyclic, "cyclic"
+    elif colon and kind == "sn":
+        value, build, name = _read_exponents(s), supernatural, "supernatural"
+    else:
+        raise ParseError("unknown group spec %r" % t)
+    try:
+        return build(value)
+    except ValueError as exc:
+        raise ParseError("bad %s spec %r: %s" % (name, t, exc)) from exc
 
 
 def parse_qk_window(text):
@@ -242,7 +243,8 @@ def parse_qk_window(text):
     s.skip_ws()
     k = s.digits()
     s.expect(":")
-    return Window(qk(k), s.finish(s.digits(), "window bound"))
+    bound = s.finish(s.digits(), "window bound")
+    return Window(qk(k), bound)
 
 
 def parse_params(text):
@@ -275,10 +277,11 @@ def parse_table(text):
     header = lines[0].split()
     if len(header) != 3 or header[0] != "window":
         raise ParseError("table header must be 'window <groupspec> <bound>'")
+    bound = parse_natural(header[2], "table window bound")
     group = parse_group(header[1])
     if not isinstance(group, Cyclic):
         raise ParseError("table windows require a cyclic group spec")
-    window = Window(group, parse_natural(header[2], "table window bound"))
+    window = Window(group, bound)
     entries = {}
     for line in lines[1:]:
         fields = line.split()

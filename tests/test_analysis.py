@@ -89,6 +89,12 @@ class TestWindow:
         diffs = {a - b for a in w.indices() for b in w.indices()}
         assert diffs == set(w.steps())
 
+    @pytest.mark.parametrize("step", [F(1), F(1, 2), F(2, 3), F(1, 6)])
+    def test_indices_and_steps_are_multiples_of_the_step(self, step):
+        w = Window(cyclic(step), 4)
+        assert w.indices() == [n * w.step for n in range(-4, 5)]
+        assert w.steps() == [n * w.step for n in range(-8, 9)]
+
 
 class TestSubspace:
     def params(self):

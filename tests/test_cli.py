@@ -386,7 +386,10 @@ class TestIntegerFields:
         (["jacobi", "--window", "1:2:3"], "trailing input after window bound at offset 4"),
         (["scan", "0,1,0@qk:0", "--window", "1" * 4301],
          "literal of 4301 digits exceeds the cap of 4300 digits at offset 1"),
-    ] + BAD_OPTION_VALUES)
+    ] + BAD_OPTION_VALUES + [
+        # the bound is read before qk:501 meets its cap
+        (["jacobi", "--window", "501:x"], "expected a digit at offset 5"),
+    ])
     def test_bad_integers_are_syntax_errors(self, capsys, argv, message):
         began = time.perf_counter()
         status, out, err = run_cli(capsys, *argv)

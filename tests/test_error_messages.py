@@ -18,6 +18,7 @@ from hvir import (
     qk,
     transported_table,
 )
+from hvir.cli import main
 
 F = Fraction
 
@@ -96,6 +97,8 @@ class TestParser:
         ("window Q 2\n", "table windows require a cyclic group spec"),
         ("window sn:2^inf 2\n", "table windows require a cyclic group spec"),
         ("window qk:0 2\nd(0) 0 0\n", "table line needs 4 fields, got 'd(0) 0 0'"),
+        # the header bound is read before qk:501 meets its cap
+        ("window qk:501 x\nd(0) 0 0 1\n", "expected a digit at offset 1"),
         ("window qk:0 2\nd(0)x 0 0 1\n", "trailing input after generator at offset 5"),
         ("window qk:0 2\nI(1)) 0 1 1\n", "trailing input after generator at offset 5"),
         ("window qk:0 2\nCD 0 0 1\n", "table generators must be d(...) or I(...) symbols"),
@@ -104,3 +107,11 @@ class TestParser:
     ])
     def test_table(self, text, expected):
         assert message(ParseError, parse_table, text) == expected
+
+
+class TestCli:
+    @pytest.mark.parametrize("seed", ["1,,2", "1,", ",1", ""])
+    def test_empty_seed_part(self, capsys, seed):
+        argv = ["closure", "0,0,1@qk:0", "--window", "3", "--seed", seed]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error[syntax]: expected a digit at offset 1\n"

@@ -28,6 +28,7 @@ from hvir import (
     parse_rational,
     parse_table,
     qk,
+    supernatural,
     Window,
 )
 
@@ -105,6 +106,15 @@ keys = st.one_of(
     st.sampled_from([CD, CDI, CI]),
 )
 elements = st.lists(st.tuples(keys, rationals), max_size=6).map(AlgebraElement)
+groups = st.one_of(
+    st.sampled_from([TRIVIAL, FULL_Q, qk(3)]),
+    st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12).map(cyclic),
+    st.dictionaries(
+        st.sampled_from([2, 3, 5, 7]),
+        st.one_of(st.just(inf), st.integers(1, 3)),
+        min_size=1,
+    ).map(supernatural),
+)
 
 
 class TestRoundTrip:
@@ -115,6 +125,12 @@ class TestRoundTrip:
     def test_golden_round_trips(self):
         for text in ("0", "d(1/2) - 3*I(-2) + 1/2*CD", "-4*d(0) + 1/2*CD"):
             assert str(parse_element(text)) == text
+
+    @given(groups, st.sampled_from([" ", "\t", " \t "]))
+    def test_blanks_after_colon_and_comma(self, group, blank):
+        text = str(group).replace(":", ":" + blank).replace(",", "," + blank)
+        assert parse_group(str(group)) == group
+        assert parse_group(text) == group
 
 
 class TestGroup:
@@ -226,6 +242,11 @@ class TestDigitReader:
     @pytest.mark.parametrize("text,message", [
         ("qk:٣", "expected a digit at offset 4$"),
         ("qk:3 ", None),
+        ("qk: 3", None),
+        ("qk:\t3", None),
+        ("sn: \u0662^inf", "expected a digit at offset 5$"),
+        ("sn:2^inf, 2^3", "duplicate prime 2 in supernatural spec at offset 11$"),
+        ("sn:2^inf ,3^2", "expected ',' at offset 9$"),
         ("qk:-1", "expected a digit at offset 4$"),
         ("qk:" + "1" * 4301, "literal of 4301 digits exceeds the cap of 4300 digits at offset 4$"),
         ("sn:2^" + "1" * 4301, "literal of 4301 digits exceeds the cap of 4300 digits at offset 6$"),
@@ -249,6 +270,8 @@ class TestDigitReader:
             parse_group("qk:20000")
         assert parse_group(" cyclic: 3/4 ") == cyclic(F(3, 4))
         assert parse_group("sn:3^2,2^inf") == Supernatural(((2, inf), (3, 2)))
+        assert parse_group("sn: 2^inf") == Supernatural(((2, inf),))
+        assert parse_group("sn:2^inf, 3^2") == Supernatural(((2, inf), (3, 2)))
 
     @pytest.mark.parametrize("bound", ["٢", "+2", "2.0", "0x2"])
     def test_table_header_bound(self, bound):
