@@ -19,10 +19,10 @@ structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from ._frozen import Frozen, set_field
 from .errors import CentralTermError, IndexDomainError
 from .groups import MAX_FACTORIAL_ORDER, SubgroupSpec, as_fraction, contains
 
@@ -51,19 +51,33 @@ _CENTRAL_KINDS = ("CD", "CDI", "CI")
 _RANK = {"d": 0, "I": 1, "CD": 2, "CDI": 3, "CI": 4}
 
 
-@dataclass(frozen=True)
-class BasisKey:
-    kind: str
-    index: Fraction = None
+class BasisKey(Frozen):
+    __slots__ = ("kind", "index", "_hash")
+    __match_args__ = ("kind", "index")
 
-    def __post_init__(self):
-        if self.kind in _CENTRAL_KINDS:
-            if self.index is not None:
+    def __init__(self, kind, index=None):
+        if kind in _CENTRAL_KINDS:
+            if index is not None:
                 raise ValueError("central symbols carry no index")
-        elif self.kind in ("d", "I"):
-            object.__setattr__(self, "index", as_fraction(self.index))
+        elif kind in ("d", "I"):
+            index = as_fraction(index)
         else:
-            raise ValueError("unknown basis symbol kind %r" % (self.kind,))
+            raise ValueError("unknown basis symbol kind %r" % (kind,))
+        set_field(self, "kind", kind)
+        set_field(self, "index", index)
+        set_field(self, "_hash", None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
+
+    def __hash__(self):
+        if self._hash is None:
+            set_field(self, "_hash", hash((self.kind, self.index)))
+        return self._hash
 
     @property
     def is_central(self):
@@ -268,8 +282,7 @@ CENTERLESS = "centerless"
 EXACT_CENTRAL = "exact"
 
 
-@dataclass(frozen=True)
-class RescalingMap:
+class RescalingMap(Frozen):
     """Identification of the integer-indexed algebra with the one indexed
     by multiples of 1/m!, sending d(n) to m!*d(n/m!) and I(n) to
     m!*I(n/m!).
@@ -281,18 +294,20 @@ class RescalingMap:
     central elements (it is a homomorphism modulo the center).
     """
 
-    m: int
-    variant: str = EXACT_CENTRAL
+    __slots__ = ("m", "variant")
+    __match_args__ = ("m", "variant")
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+    def __init__(self, m, variant=EXACT_CENTRAL):
+        if not isinstance(m, int) or m < 1:
             raise ValueError("rescaling order must be a positive integer")
-        if self.m > MAX_FACTORIAL_ORDER:
+        if m > MAX_FACTORIAL_ORDER:
             raise ValueError(
-                "rescaling order %d exceeds the cap of %d" % (self.m, MAX_FACTORIAL_ORDER)
+                "rescaling order %d exceeds the cap of %d" % (m, MAX_FACTORIAL_ORDER)
             )
-        if self.variant not in (CENTERLESS, EXACT_CENTRAL):
+        if variant not in (CENTERLESS, EXACT_CENTRAL):
             raise ValueError("variant must be %r or %r" % (EXACT_CENTRAL, CENTERLESS))
+        set_field(self, "m", m)
+        set_field(self, "variant", variant)
 
     @property
     def scale(self):

@@ -22,10 +22,10 @@ row echelon spans of arbitrary vectors, with integer-form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._frozen import Frozen, set_field
 from .algebra import CENTERLESS, BasisKey, I, RescalingMap, apply_phi, d
 from .errors import (
     AmbiguousTableError,
@@ -72,22 +72,33 @@ __all__ = [
 MAX_WINDOW_BOUND = 2048
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Frozen):
     """The finite index set {n*step : |n| <= bound} of a cyclic group."""
 
-    group: Cyclic
-    bound: int
+    __slots__ = ("group", "bound")
+    __match_args__ = ("group", "bound")
 
-    def __post_init__(self):
-        if not isinstance(self.group, Cyclic):
-            raise ValueError("windows require a cyclic index group, got %s" % self.group)
-        if not isinstance(self.bound, int) or self.bound < 1:
+    def __init__(self, group, bound):
+        if not isinstance(group, Cyclic):
+            raise ValueError("windows require a cyclic index group, got %s" % group)
+        if not isinstance(bound, int) or bound < 1:
             raise ValueError("window bound must be a positive integer")
-        if self.bound > MAX_WINDOW_BOUND:
+        if bound > MAX_WINDOW_BOUND:
             raise ValueError(
-                "window bound %d exceeds the cap of %d" % (self.bound, MAX_WINDOW_BOUND)
+                "window bound %d exceeds the cap of %d" % (bound, MAX_WINDOW_BOUND)
             )
+        set_field(self, "group", group)
+        set_field(self, "bound", bound)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.bound == other.bound
+
+    def __hash__(self):
+        return hash((self.group, self.bound))
 
     @property
     def step(self):

@@ -18,11 +18,12 @@ All scalars are exact; floats are rejected everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, count
 from math import factorial, gcd, inf, isqrt, lcm, log2, prod
+
+from ._frozen import Frozen, set_field
 
 __all__ = [
     "SubgroupSpec",
@@ -78,14 +79,18 @@ def _is_strong_probable_prime(n, a):
     return False
 
 
+def _above_psi_13(n):
+    return ValueError(
+        "%d is at or above psi_13 = %d, the cap for supernatural primes"
+        % (n, _SPRP_EXACT_BELOW)
+    )
+
+
 def _is_prime(n):
     """Exact primality by strong-probable-prime tests; numbers at or above
     psi_13 raise ValueError."""
     if n >= _SPRP_EXACT_BELOW:
-        raise ValueError(
-            "%d is at or above psi_13 = %d, the cap for supernatural primes"
-            % (n, _SPRP_EXACT_BELOW)
-        )
+        raise _above_psi_13(n)
     if n <= _SPRP_BASES[-1]:
         return n in _SPRP_BASES
     return all(_is_strong_probable_prime(n, a) for a in _SPRP_BASES)
@@ -106,9 +111,13 @@ class _Budget:
     def __init__(self, n):
         self.left, self.bits = MAX_FACTOR_WORK, n.bit_length()
 
-    def spend(self, m, divisions=0, steps=0):
+    @staticmethod
+    def cost(m, divisions=0, steps=0):
         b = m.bit_length()
-        self.left -= divisions * (1 + b // 512) + steps * (1 + (b // 256) ** 2)
+        return divisions * (1 + b // 512) + steps * (1 + (b // 256) ** 2)
+
+    def spend(self, m, divisions=0, steps=0):
+        self.left -= self.cost(m, divisions, steps)
         if self.left < 0:
             raise ValueError(
                 "factoring a %d-bit denominator exceeds the budget of %d "
@@ -137,11 +146,13 @@ def _factorint(n):
     """Prime factorization of the part of a cyclic denominator that a
     supernatural sum has not divided out.
 
-    Trial division takes the primes below ``_TRIAL_BOUND``.  Each part
-    left is reduced to its largest perfect-power root and then certified
-    by ``_is_prime`` or split by Pollard-Brent; a certified prime is
-    divided out of every pending part.  All of it is charged to one
-    ``MAX_FACTOR_WORK`` budget, past which it raises ValueError.
+    Trial division takes the primes below ``_TRIAL_BOUND``.  A part left
+    at or above psi_13 that passes the strong-probable-prime tests, where
+    they fit the budget, raises the psi_13 ValueError at once.  Each
+    other part is reduced to its largest perfect-power root and then
+    certified by ``_is_prime`` or split by Pollard-Brent; a certified
+    prime is divided out of every pending part.  All of it is charged to
+    one ``MAX_FACTOR_WORK`` budget, past which it raises ValueError.
     """
     budget = _Budget(n)
     factors = {}
@@ -156,6 +167,9 @@ def _factorint(n):
     pending = [(n, 1)] if n > 1 else []
     while pending:
         m, e = pending.pop()
+        # a prime is no perfect power, so the part is tested before its roots
+        if m >= _SPRP_EXACT_BELOW and _probable_prime(m, budget):
+            raise _above_psi_13(m)
         m, k = _perfect_power(m, budget)
         if m < _SPRP_EXACT_BELOW and _is_prime(m):
             factors[m] = k * e
@@ -170,6 +184,21 @@ def _factorint(n):
             d = _pollard_brent(m, budget)
             pending += [(d, k * e), (m // d, k * e)]
     return factors
+
+
+def _probable_prime(m, budget):
+    """Whether m passes the strong-probable-prime test to every base in
+    ``_SPRP_BASES``, charging b squarings on b bits to each base.  Where
+    the budget left cannot pay for all of them, no test runs and the
+    answer is False."""
+    squarings = m.bit_length()
+    if len(_SPRP_BASES) * budget.cost(m, steps=squarings) > budget.left:
+        return False
+    for a in _SPRP_BASES:
+        budget.spend(m, steps=squarings)
+        if not _is_strong_probable_prime(m, a):
+            return False
+    return True
 
 
 @cache
@@ -263,41 +292,55 @@ def _check_prime_powers(items):
             raise ValueError("exponent for %d must be a positive integer or inf" % p)
 
 
-class SubgroupSpec:
+class SubgroupSpec(Frozen):
     """Common base for the four subgroup shapes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Trivial(SubgroupSpec):
+    __slots__ = ()
+
     def __str__(self):
         return "0"
 
 
-@dataclass(frozen=True)
 class Cyclic(SubgroupSpec):
-    generator: Fraction
+    __slots__ = ("generator", "_hash")
+    __match_args__ = ("generator",)
 
-    def __post_init__(self):
-        gen = as_fraction(self.generator)
+    def __init__(self, generator):
+        gen = as_fraction(generator)
         if gen <= 0:
             raise ValueError("cyclic generator must be positive")
-        object.__setattr__(self, "generator", gen)
+        set_field(self, "generator", gen)
+        set_field(self, "_hash", None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generator == other.generator
+
+    def __hash__(self):
+        if self._hash is None:
+            set_field(self, "_hash", hash((self.generator,)))
+        return self._hash
 
     def __str__(self):
         return "cyclic:%s" % self.generator
 
 
-@dataclass(frozen=True)
 class Supernatural(SubgroupSpec):
     # ((prime, exponent), ...) sorted by prime; exponent is a positive int
     # or math.inf, and at least one exponent is infinite (otherwise the
     # group is cyclic and must be built through the factory below).
-    exponents: tuple
+    __slots__ = ("exponents", "_hash")
+    __match_args__ = ("exponents",)
 
-    def __post_init__(self):
-        items = tuple(self.exponents)
+    def __init__(self, exponents):
+        items = tuple(exponents)
         if not items:
             raise ValueError("supernatural spec needs at least one prime")
         primes = [p for p, _ in items]
@@ -306,7 +349,20 @@ class Supernatural(SubgroupSpec):
         _check_prime_powers(items)
         if all(e != inf for _, e in items):
             raise ValueError("all-finite exponent maps are cyclic; use supernatural()")
-        object.__setattr__(self, "exponents", items)
+        set_field(self, "exponents", items)
+        set_field(self, "_hash", None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self):
+        if self._hash is None:
+            set_field(self, "_hash", hash((self.exponents,)))
+        return self._hash
 
     def exponent_map(self):
         return dict(self.exponents)
@@ -316,8 +372,9 @@ class Supernatural(SubgroupSpec):
         return "sn:" + ",".join(parts)
 
 
-@dataclass(frozen=True)
 class FullQ(SubgroupSpec):
+    __slots__ = ()
+
     def __str__(self):
         return "Q"
 

@@ -25,10 +25,10 @@ The coefficient alpha + h + g*beta is evaluated only by :func:`d_coefficient`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from ._frozen import Frozen, set_field
 from .algebra import _as_element, _signed_terms
 from .errors import GroupMismatchError, SubalgebraError
 from .groups import (
@@ -58,21 +58,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuleParams:
-    alpha: Fraction
-    beta: Fraction
-    f: Fraction
-    group: SubgroupSpec
+class ModuleParams(Frozen):
+    __slots__ = ("alpha", "beta", "f", "group")
+    __match_args__ = ("alpha", "beta", "f", "group")
 
-    def __post_init__(self):
-        if not isinstance(self.group, SubgroupSpec):
+    def __init__(self, alpha, beta, f, group):
+        if not isinstance(group, SubgroupSpec):
             raise TypeError("group must be a subgroup spec")
-        if isinstance(self.group, Trivial):
+        if isinstance(group, Trivial):
             raise ValueError("module index group must be nonzero")
-        object.__setattr__(self, "alpha", normalize_alpha(self.alpha, self.group))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        object.__setattr__(self, "f", as_fraction(self.f))
+        set_field(self, "alpha", normalize_alpha(alpha, group))
+        set_field(self, "beta", as_fraction(beta))
+        set_field(self, "f", as_fraction(f))
+        set_field(self, "group", group)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha == other.alpha and self.beta == other.beta
+                and self.f == other.f and self.group == other.group)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta, self.f, self.group))
 
     def __str__(self):
         return "%s,%s,%s@%s" % (self.alpha, self.beta, self.f, self.group)
@@ -316,10 +325,13 @@ VERDICT_TRIVIAL_SUB = "ReducibleTrivialSub"
 VERDICT_CODIM_ONE = "ReducibleCodimOne"
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    subquotient_note: str
+class Classification(Frozen):
+    __slots__ = ("verdict", "subquotient_note")
+    __match_args__ = ("verdict", "subquotient_note")
+
+    def __init__(self, verdict, subquotient_note):
+        set_field(self, "verdict", verdict)
+        set_field(self, "subquotient_note", subquotient_note)
 
 
 def classify(params):
@@ -340,15 +352,17 @@ def classify(params):
     return Classification(VERDICT_IRREDUCIBLE, "the module itself is irreducible")
 
 
-@dataclass(frozen=True)
-class IndexPredicate:
+class IndexPredicate(Frozen):
     """Decidable predicate picking out the basis indices of a submodule."""
 
-    kind: str  # "zero-only" or "nonzero"
+    __slots__ = ("kind",)
+    __match_args__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("zero-only", "nonzero"):
-            raise ValueError("unknown predicate kind %r" % (self.kind,))
+    def __init__(self, kind):
+        # "zero-only" or "nonzero"
+        if kind not in ("zero-only", "nonzero"):
+            raise ValueError("unknown predicate kind %r" % (kind,))
+        set_field(self, "kind", kind)
 
     def __call__(self, index):
         index = as_fraction(index)

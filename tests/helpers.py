@@ -2,10 +2,12 @@
 the Fraction-dict oracles for weight vectors, the module action and
 exact spans, the exact-elimination oracle for the window engine, the
 one-pass-per-entry oracles for the action-table path, the accumulator-per-operation oracle
-for algebra elements, the entry-dict proportionality test, and the
-valuation-profile oracle for the subgroup lattice."""
+for algebra elements, the entry-dict proportionality test, the
+valuation-profile oracle for the subgroup lattice, and the dataclass
+oracles for the value classes."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
 
@@ -32,6 +34,7 @@ from hvir import (
     NotIntermediateSeriesError,
     RescalingMap,
     SubalgebraError,
+    SubgroupSpec,
     Trivial,
     VERDICT_CODIM_ONE,
     VERDICT_IRREDUCIBLE,
@@ -45,11 +48,13 @@ from hvir import (
     contains,
     d,
     is_subgroup,
+    normalize_alpha,
     qk,
     supernatural,
 )
-from hvir.algebra import _as_element, _basis_bracket, _signed_terms
-from hvir.groups import _factorint
+from hvir.algebra import _CENTRAL_KINDS, _as_element, _basis_bracket, _signed_terms
+from hvir.analysis import MAX_WINDOW_BOUND
+from hvir.groups import MAX_FACTORIAL_ORDER, _check_prime_powers, _factorint
 from hvir.intermediate import d_coefficient
 
 
@@ -814,3 +819,154 @@ def reference_subgroup_intersect(g, h):
     pg, ph = reference_profile(g), reference_profile(h)
     return reference_from_profile(
         {p: max(pg.get(p, 0), ph.get(p, 0)) for p in set(pg) | set(ph)})
+
+
+# The value classes as they were written with dataclasses: the oracles
+# for equality, hash, repr, str, validation, immutability and pickling of
+# the __slots__ classes that replaced them.  Each keeps its fields, its
+# checks and its str; a Reference prefix on the class name is all that
+# tells their repr apart.
+
+
+class ReferenceSubgroupSpec:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class ReferenceTrivial(ReferenceSubgroupSpec):
+    def __str__(self):
+        return "0"
+
+
+@dataclass(frozen=True)
+class ReferenceCyclic(ReferenceSubgroupSpec):
+    generator: Fraction
+
+    def __post_init__(self):
+        gen = as_fraction(self.generator)
+        if gen <= 0:
+            raise ValueError("cyclic generator must be positive")
+        object.__setattr__(self, "generator", gen)
+
+    def __str__(self):
+        return "cyclic:%s" % self.generator
+
+
+@dataclass(frozen=True)
+class ReferenceSupernatural(ReferenceSubgroupSpec):
+    exponents: tuple
+
+    def __post_init__(self):
+        items = tuple(self.exponents)
+        if not items:
+            raise ValueError("supernatural spec needs at least one prime")
+        primes = [p for p, _ in items]
+        if primes != sorted(set(primes)):
+            raise ValueError("supernatural primes must be distinct and sorted")
+        _check_prime_powers(items)
+        if all(e != inf for _, e in items):
+            raise ValueError("all-finite exponent maps are cyclic; use supernatural()")
+        object.__setattr__(self, "exponents", items)
+
+    def __str__(self):
+        parts = ["%d^%s" % (p, "inf" if e == inf else e) for p, e in self.exponents]
+        return "sn:" + ",".join(parts)
+
+
+@dataclass(frozen=True)
+class ReferenceFullQ(ReferenceSubgroupSpec):
+    def __str__(self):
+        return "Q"
+
+
+@dataclass(frozen=True)
+class ReferenceBasisKey:
+    kind: str
+    index: Fraction = None
+
+    def __post_init__(self):
+        if self.kind in _CENTRAL_KINDS:
+            if self.index is not None:
+                raise ValueError("central symbols carry no index")
+        elif self.kind in ("d", "I"):
+            object.__setattr__(self, "index", as_fraction(self.index))
+        else:
+            raise ValueError("unknown basis symbol kind %r" % (self.kind,))
+
+    def __str__(self):
+        if self.index is None:
+            return self.kind
+        return "%s(%s)" % (self.kind, self.index)
+
+
+@dataclass(frozen=True)
+class ReferenceRescalingMap:
+    m: int
+    variant: str = EXACT_CENTRAL
+
+    def __post_init__(self):
+        if not isinstance(self.m, int) or self.m < 1:
+            raise ValueError("rescaling order must be a positive integer")
+        if self.m > MAX_FACTORIAL_ORDER:
+            raise ValueError(
+                "rescaling order %d exceeds the cap of %d" % (self.m, MAX_FACTORIAL_ORDER)
+            )
+        if self.variant not in (CENTERLESS, EXACT_CENTRAL):
+            raise ValueError("variant must be %r or %r" % (EXACT_CENTRAL, CENTERLESS))
+
+
+@dataclass(frozen=True)
+class ReferenceModuleParams:
+    alpha: Fraction
+    beta: Fraction
+    f: Fraction
+    group: SubgroupSpec
+
+    def __post_init__(self):
+        if not isinstance(self.group, SubgroupSpec):
+            raise TypeError("group must be a subgroup spec")
+        if isinstance(self.group, Trivial):
+            raise ValueError("module index group must be nonzero")
+        object.__setattr__(self, "alpha", normalize_alpha(self.alpha, self.group))
+        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "f", as_fraction(self.f))
+
+    def __str__(self):
+        return "%s,%s,%s@%s" % (self.alpha, self.beta, self.f, self.group)
+
+
+@dataclass(frozen=True)
+class ReferenceClassification:
+    verdict: str
+    subquotient_note: str
+
+
+@dataclass(frozen=True)
+class ReferenceIndexPredicate:
+    kind: str  # "zero-only" or "nonzero"
+
+    def __post_init__(self):
+        if self.kind not in ("zero-only", "nonzero"):
+            raise ValueError("unknown predicate kind %r" % (self.kind,))
+
+    def __str__(self):
+        return "index = 0" if self.kind == "zero-only" else "index != 0"
+
+
+@dataclass(frozen=True)
+class ReferenceWindow:
+    group: Cyclic
+    bound: int
+
+    def __post_init__(self):
+        if not isinstance(self.group, Cyclic):
+            raise ValueError("windows require a cyclic index group, got %s" % self.group)
+        if not isinstance(self.bound, int) or self.bound < 1:
+            raise ValueError("window bound must be a positive integer")
+        if self.bound > MAX_WINDOW_BOUND:
+            raise ValueError(
+                "window bound %d exceeds the cap of %d" % (self.bound, MAX_WINDOW_BOUND)
+            )
+
+    def __str__(self):
+        return "%s:%d" % (self.group, self.bound)

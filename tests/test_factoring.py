@@ -39,6 +39,20 @@ class TestBoundedFactoring:
             % (leftover.bit_length(), MAX_FACTOR_WORK)
         )
 
+    def test_probable_prime_above_psi_13_fails_at_once(self):
+        began = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            subgroup_sum(supernatural({2: inf}), cyclic(F(1, 2 ** 127 - 1)))
+        assert time.perf_counter() - began < 0.05
+        assert str(info.value) == (
+            "%d is at or above psi_13 = 3317044064679887385961981, the cap for "
+            "supernatural primes" % (2 ** 127 - 1)
+        )
+
+    def test_composite_above_psi_13_still_factors(self):
+        p, q = 2 ** 61 - 1, 10000019
+        assert _factorint(p * q) == {p: 1, q: 1}
+
     @pytest.mark.parametrize("p,q", [
         (100000000003, 100000000019),
         (999999999989, 999999999959),
