@@ -1,15 +1,19 @@
-"""The base of hvir's immutable value classes.
+"""The base of hvir's immutable value classes, and the one home of their
+equality and hash.
 
-A value class lists its fields, in constructor order, in
-``__match_args__`` and keeps them in ``__slots__``.  Its ``__init__``
-validates the arguments and writes each slot with :func:`set_field`;
-after that every assignment and deletion raises ``AttributeError``.
-Equality holds between instances of one class with equal fields, the
-hash is the hash of the field tuple, and ``repr`` reads like a
-dataclass's, ``Cyclic(generator=Fraction(1, 2))``.  The classes that
-are compared and hashed in hot loops override ``__eq__`` and
-``__hash__`` with field-by-field versions of the same rules.
+A value class names its fields once, in constructor order, in
+``__slots__``; ``Frozen.__init_subclass__`` appends them to the
+inherited ``__match_args__``.  Its ``__init__`` validates the arguments
+and writes each slot with :func:`set_field`; after that every
+assignment and deletion raises ``AttributeError``.  A value equals
+itself, and otherwise equals the values of its own class whose field
+tuple is equal.  The hash is the hash of the field tuple, computed on
+the first ``hash`` and cached in the ``_hash`` slot that ``Frozen``
+declares.  ``repr`` reads like a dataclass's,
+``Cyclic(generator=Fraction(1, 2))``.
 """
+
+from operator import attrgetter
 
 __all__ = ["Frozen", "set_field"]
 
@@ -18,19 +22,36 @@ set_field = object.__setattr__
 
 
 class Frozen:
-    __slots__ = ()
+    # the cached hash, unset until the first hash
+    __slots__ = ("_hash",)
     __match_args__ = ()
+    # the field tuple of a value, set for each class from its fields
+    _fields = staticmethod(lambda value: ())
 
-    def _values(self):
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = cls.__match_args__ + cls.__dict__["__slots__"]
+        if len(names) > 1:
+            cls._fields = attrgetter(*names)
+        elif names:
+            # attrgetter returns a lone field bare, not in a 1-tuple
+            lone = attrgetter(*names)
+            cls._fields = staticmethod(lambda value: (lone(value),))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self):
-        return hash(self._values())
+        # an unset slot reads as None here, with no try/except
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = hash(self._fields(self))
+            set_field(self, "_hash", value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -47,4 +68,4 @@ class Frozen:
     def __reduce__(self):
         # rebuilt by the constructor from the fields alone, so no cached
         # hash travels: str hashes are salted per process
-        return self.__class__, self._values()
+        return self.__class__, self._fields(self)

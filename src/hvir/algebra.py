@@ -52,8 +52,7 @@ _RANK = {"d": 0, "I": 1, "CD": 2, "CDI": 3, "CI": 4}
 
 
 class BasisKey(Frozen):
-    __slots__ = ("kind", "index", "_hash")
-    __match_args__ = ("kind", "index")
+    __slots__ = ("kind", "index")
 
     def __init__(self, kind, index=None):
         if kind in _CENTRAL_KINDS:
@@ -65,19 +64,6 @@ class BasisKey(Frozen):
             raise ValueError("unknown basis symbol kind %r" % (kind,))
         set_field(self, "kind", kind)
         set_field(self, "index", index)
-        set_field(self, "_hash", None)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
-
-    def __hash__(self):
-        if self._hash is None:
-            set_field(self, "_hash", hash((self.kind, self.index)))
-        return self._hash
 
     @property
     def is_central(self):
@@ -295,7 +281,6 @@ class RescalingMap(Frozen):
     """
 
     __slots__ = ("m", "variant")
-    __match_args__ = ("m", "variant")
 
     def __init__(self, m, variant=EXACT_CENTRAL):
         if not isinstance(m, int) or m < 1:

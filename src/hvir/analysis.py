@@ -76,7 +76,6 @@ class Window(Frozen):
     """The finite index set {n*step : |n| <= bound} of a cyclic group."""
 
     __slots__ = ("group", "bound")
-    __match_args__ = ("group", "bound")
 
     def __init__(self, group, bound):
         if not isinstance(group, Cyclic):
@@ -89,16 +88,6 @@ class Window(Frozen):
             )
         set_field(self, "group", group)
         set_field(self, "bound", bound)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.group == other.group and self.bound == other.bound
-
-    def __hash__(self):
-        return hash((self.group, self.bound))
 
     @property
     def step(self):

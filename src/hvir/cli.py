@@ -15,7 +15,6 @@ reader ends the run with status 1 and no message.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -61,6 +60,8 @@ def _emit(args, lines, **fields):
     fixed keys first (null when not given), then the verb's own fields in
     call order."""
     if args.structured:
+        import json  # only structured output pays for it at start-up
+
         report = {key: fields.pop(key, None) for key in _REPORT_KEYS}
         report.update(fields)
         print(json.dumps(report, indent=2))

@@ -146,13 +146,14 @@ def _factorint(n):
     """Prime factorization of the part of a cyclic denominator that a
     supernatural sum has not divided out.
 
-    Trial division takes the primes below ``_TRIAL_BOUND``.  A part left
-    at or above psi_13 that passes the strong-probable-prime tests, where
-    they fit the budget, raises the psi_13 ValueError at once.  Each
-    other part is reduced to its largest perfect-power root and then
-    certified by ``_is_prime`` or split by Pollard-Brent; a certified
-    prime is divided out of every pending part.  All of it is charged to
-    one ``MAX_FACTOR_WORK`` budget, past which it raises ValueError.
+    Trial division takes the primes below ``_TRIAL_BOUND``.  Each part
+    left is reduced to its largest perfect-power root.  A root at or
+    above psi_13 that passes the strong-probable-prime tests, where they
+    fit the budget, raises the psi_13 ValueError at once; any other root
+    is certified by ``_is_prime`` or split by Pollard-Brent, and a
+    certified prime is divided out of every pending part.  All of it is
+    charged to one ``MAX_FACTOR_WORK`` budget, past which it raises
+    ValueError.
     """
     budget = _Budget(n)
     factors = {}
@@ -167,10 +168,9 @@ def _factorint(n):
     pending = [(n, 1)] if n > 1 else []
     while pending:
         m, e = pending.pop()
-        # a prime is no perfect power, so the part is tested before its roots
+        m, k = _perfect_power(m, budget)
         if m >= _SPRP_EXACT_BELOW and _probable_prime(m, budget):
             raise _above_psi_13(m)
-        m, k = _perfect_power(m, budget)
         if m < _SPRP_EXACT_BELOW and _is_prime(m):
             factors[m] = k * e
             left = []
@@ -306,27 +306,13 @@ class Trivial(SubgroupSpec):
 
 
 class Cyclic(SubgroupSpec):
-    __slots__ = ("generator", "_hash")
-    __match_args__ = ("generator",)
+    __slots__ = ("generator",)
 
     def __init__(self, generator):
         gen = as_fraction(generator)
         if gen <= 0:
             raise ValueError("cyclic generator must be positive")
         set_field(self, "generator", gen)
-        set_field(self, "_hash", None)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.generator == other.generator
-
-    def __hash__(self):
-        if self._hash is None:
-            set_field(self, "_hash", hash((self.generator,)))
-        return self._hash
 
     def __str__(self):
         return "cyclic:%s" % self.generator
@@ -336,8 +322,7 @@ class Supernatural(SubgroupSpec):
     # ((prime, exponent), ...) sorted by prime; exponent is a positive int
     # or math.inf, and at least one exponent is infinite (otherwise the
     # group is cyclic and must be built through the factory below).
-    __slots__ = ("exponents", "_hash")
-    __match_args__ = ("exponents",)
+    __slots__ = ("exponents",)
 
     def __init__(self, exponents):
         items = tuple(exponents)
@@ -350,19 +335,6 @@ class Supernatural(SubgroupSpec):
         if all(e != inf for _, e in items):
             raise ValueError("all-finite exponent maps are cyclic; use supernatural()")
         set_field(self, "exponents", items)
-        set_field(self, "_hash", None)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __hash__(self):
-        if self._hash is None:
-            set_field(self, "_hash", hash((self.exponents,)))
-        return self._hash
 
     def exponent_map(self):
         return dict(self.exponents)

@@ -60,7 +60,6 @@ __all__ = [
 
 class ModuleParams(Frozen):
     __slots__ = ("alpha", "beta", "f", "group")
-    __match_args__ = ("alpha", "beta", "f", "group")
 
     def __init__(self, alpha, beta, f, group):
         if not isinstance(group, SubgroupSpec):
@@ -71,17 +70,6 @@ class ModuleParams(Frozen):
         set_field(self, "beta", as_fraction(beta))
         set_field(self, "f", as_fraction(f))
         set_field(self, "group", group)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alpha == other.alpha and self.beta == other.beta
-                and self.f == other.f and self.group == other.group)
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta, self.f, self.group))
 
     def __str__(self):
         return "%s,%s,%s@%s" % (self.alpha, self.beta, self.f, self.group)
@@ -327,7 +315,6 @@ VERDICT_CODIM_ONE = "ReducibleCodimOne"
 
 class Classification(Frozen):
     __slots__ = ("verdict", "subquotient_note")
-    __match_args__ = ("verdict", "subquotient_note")
 
     def __init__(self, verdict, subquotient_note):
         set_field(self, "verdict", verdict)
@@ -356,7 +343,6 @@ class IndexPredicate(Frozen):
     """Decidable predicate picking out the basis indices of a submodule."""
 
     __slots__ = ("kind",)
-    __match_args__ = ("kind",)
 
     def __init__(self, kind):
         # "zero-only" or "nonzero"
@@ -387,22 +373,21 @@ def iso_check(p1, p2):
     """Whether the irreducible subquotients of two modules over the same
     group are isomorphic.
 
-    Returns ``(flag, shift)`` where ``shift = p2.alpha - p1.alpha`` is the
-    index shift of the intertwiner when the flag is true.  The criterion:
-    the alpha difference lies in the group, the I-eigenvalues agree, and
-    the betas agree, except that for f == 0 with alpha in the group the
-    subquotients at beta 0 and beta 1 coincide.
+    Returns ``(flag, shift)`` where ``shift = p2.alpha - p1.alpha`` when
+    the flag is true.  The criterion: the I-eigenvalues agree, the alpha
+    difference lies in the group, and either the betas agree or f == 0
+    and both betas lie in {0, 1}.  The witness is the shift v(q) ->
+    u(q - shift) when the betas agree.  When they differ and alpha lies
+    in the group, both modules are reducible and share their irreducible
+    subquotient.  When alpha lies off the group, alpha + q is never 0,
+    and the shift composed with the rescaling v(q) -> (alpha + q) u(q)
+    carries the beta-0 module onto the beta-1 module.
     """
     if p1.group != p2.group:
         raise GroupMismatchError("cannot compare modules over different groups")
-    if p1.f != p2.f:
+    if p1.f != p2.f or not contains(p1.group, p1.alpha - p2.alpha):
         return False, None
-    if not contains(p1.group, p1.alpha - p2.alpha):
-        return False, None
-    # when both are reducible, f = 0, alpha = 0 and the betas lie in
-    # {0, 1}, and those share their subquotient
-    reducible = VERDICT_IRREDUCIBLE not in (classify(p1).verdict, classify(p2).verdict)
-    if p1.beta == p2.beta or reducible:
+    if p1.beta == p2.beta or (p1.f == 0 and {p1.beta, p2.beta} <= {0, 1}):
         return True, p2.alpha - p1.alpha
     return False, None
 

@@ -282,7 +282,7 @@ def test_c08_recovery_and_alignment():
 
 def test_c09_isomorphism_criterion():
     """Criterion 9: iso_check and the window intertwiner agree on a
-    20-pair sample: true verdicts carry a verified shift, false verdicts
+    20-pair sample: true verdicts carry a verified witness, false verdicts
     fail at every candidate window shift."""
     window = Window(Z, 8)
     r = rng(99)
@@ -303,13 +303,14 @@ def test_c09_isomorphism_criterion():
                 ModuleParams(F(1, 5) + shift, F(3), F(0), Z),
             )
         )
-    # the exceptional subquotient identification
+    # the exceptional subquotient identification, and the slope swap off
+    # the group
     pairs.append((ModuleParams(F(0), F(0), F(0), Z), ModuleParams(F(0), F(1), F(0), Z)))
-    # mismatches: I-eigenvalue, slope, offset coset, slope swap off the group
+    pairs.append((ModuleParams(F(1, 3), F(0), F(0), Z), ModuleParams(F(1, 3), F(1), F(0), Z)))
+    # mismatches: I-eigenvalue, slope, offset coset
     pairs.append((ModuleParams(F(0), F(2), F(3), Z), ModuleParams(F(0), F(2), F(4), Z)))
     pairs.append((ModuleParams(F(0), F(2), F(3), Z), ModuleParams(F(0), F(5), F(3), Z)))
     pairs.append((ModuleParams(F(1, 3), F(2), F(3), Z), ModuleParams(F(1, 2), F(2), F(3), Z)))
-    pairs.append((ModuleParams(F(1, 3), F(0), F(0), Z), ModuleParams(F(1, 3), F(1), F(0), Z)))
     for _ in range(8):
         p1 = ModuleParams(rand_fraction(r, 5, 7), rand_fraction(r), rand_fraction(r), Z)
         p2 = ModuleParams(rand_fraction(r, 5, 7), rand_fraction(r), rand_fraction(r), Z)
@@ -324,11 +325,18 @@ def test_c09_isomorphism_criterion():
             true_count += 1
             if p1.beta == p2.beta:
                 assert intertwiner_check(p1, p2, shift, window), (p1, p2)
-            else:
+            elif p1.alpha == 0:
                 # the beta-swap identification lives on the subquotients;
                 # its explicit intertwiner is the criterion-5 map
-                assert (p1.alpha, p1.f) == (F(0), F(0))
+                assert p1.f == 0
                 assert _subquotient_intertwines(8) > 0
+            else:
+                # off the group the modules themselves are isomorphic: the
+                # rescaling v(q) -> (alpha + q) u(q) turns beta 0 into beta 1
+                assert (shift, p1.f, p1.beta, p2.beta) == (0, 0, 0, 1)
+                scales = {q: 1 / (p1.alpha + q) for q in window.indices()}
+                assert intermediate_series_table(p1, window, scales) == \
+                    intermediate_series_table(p2, window)
         else:
             false_count += 1
             for g in window.indices():

@@ -139,6 +139,11 @@ class TestVerbs:
         assert status == 0
         assert out == "isomorphic: true\nwitness: 1\n"
 
+    def test_iso_slope_swap_off_the_group(self, capsys):
+        status, out, _ = run_cli(capsys, "iso", "1/7,0,0@qk:0", "1/7,1,0@qk:0")
+        assert status == 0
+        assert out == "isomorphic: true\nwitness: 0\n"
+
     @pytest.mark.parametrize("argv,expected", [
         (["classify", "--", "-1/3,1,0@Q"], "verdict: ReducibleCodimOne\n"),
         (["act", "0,1,1@qk:0", "--at", "0", "--", "-2*d(1)"], "-2*v(1)\n"),

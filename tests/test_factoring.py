@@ -28,8 +28,20 @@ class TestBoundedFactoring:
         assert time.perf_counter() - began < 0.1
         assert total == supernatural({2: inf, 10000019: 1, 10000079: 1})
 
-    def test_huge_prime_power_fails_with_the_budget(self):
-        leftover = (2 ** 127 - 1) ** 112
+    @pytest.mark.parametrize("power", [2, 112])
+    def test_huge_prime_power_fails_with_psi_13(self, power):
+        # the probable-prime test runs on the perfect-power root
+        began = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            _factorint((2 ** 127 - 1) ** power)
+        assert time.perf_counter() - began < 0.5
+        assert str(info.value) == (
+            "%d is at or above psi_13 = 3317044064679887385961981, the cap for "
+            "supernatural primes" % (2 ** 127 - 1)
+        )
+
+    def test_hard_composite_fails_with_the_budget(self):
+        leftover = (2 ** 89 - 1) * (2 ** 107 - 1)
         began = time.perf_counter()
         with pytest.raises(ValueError) as info:
             _factorint(leftover)

@@ -232,10 +232,15 @@ class TestIsoCheck:
         p2 = ModuleParams(F(0), F(2), F(3), Z)
         assert iso_check(p1, p2) == (False, None)
 
-    def test_beta_swap_needs_alpha_in_group(self):
+    def test_beta_swap_holds_off_the_group(self):
+        # for f == 0 the rescaling v(q) -> (alpha + q) u(q) identifies the
+        # beta-0 and beta-1 modules when alpha + q is never 0
         p1 = ModuleParams(F(1, 3), F(0), F(0), Z)
         p2 = ModuleParams(F(1, 3), F(1), F(0), Z)
-        assert iso_check(p1, p2) == (False, None)
+        assert iso_check(p1, p2) == (True, 0)
+        assert iso_check(p2, p1) == (True, 0)
+        assert iso_check(p1, ModuleParams(F(4, 3), F(1), F(0), Z)) == (True, 1)
+        assert iso_check(p1, ModuleParams(F(1, 3), F(1), F(2), Z)) == (False, None)
 
     def test_group_mismatch_raises(self):
         p1 = ModuleParams(F(0), F(2), F(3), Z)

@@ -3,8 +3,10 @@
 Each class is compared with its dataclass oracle from ``helpers`` on
 drawn field values: construction (positional, keyword, defaults),
 validation errors, ``==``, ``hash``, ``repr``, ``str``, immutability and
-``pickle``/``copy.deepcopy`` round trips.  A start-up test checks that
-importing the CLI loads neither ``dataclasses`` nor ``inspect``.
+``pickle``/``copy.deepcopy`` round trips, and every value caches its
+hash.  A start-up test checks that importing the CLI loads neither
+``dataclasses`` nor ``inspect``, nor ``json``, which only structured
+output needs.
 """
 
 import copy
@@ -15,6 +17,7 @@ import sys
 from fractions import Fraction
 from math import inf
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvir import (
@@ -180,6 +183,29 @@ def test_defaults_match_the_oracle(name, data):
         assert hash(value) == hash(reference)
 
 
+# valid constructor arguments for each class in CASES
+VALID_ARGUMENTS = {
+    "Trivial": (),
+    "FullQ": (),
+    "Cyclic": (Fraction(2, 3),),
+    "Supernatural": (((3, 2), (5, inf)),),
+    "BasisKey": ("d", Fraction(-1, 2)),
+    "RescalingMap": (3, CENTERLESS),
+    "ModuleParams": (Fraction(1, 7), 1, 0, qk(0)),
+    "Classification": ("Irreducible", "note"),
+    "IndexPredicate": ("nonzero",),
+    "Window": (qk(1), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_value_caches_its_hash(name):
+    value = CASES[name][0](*VALID_ARGUMENTS[name])
+    assert getattr(value, "_hash", None) is None
+    first = hash(value)
+    assert value._hash == first == hash(value)
+
+
 def test_pickled_hash_is_recomputed_in_another_process():
     # str hashes are salted per process, so a cached hash must not travel
     key = BasisKey("CD")
@@ -192,7 +218,8 @@ def test_pickled_hash_is_recomputed_in_another_process():
 
 
 def test_cli_start_loads_neither_dataclasses_nor_inspect():
-    probe = "import sys; print(' '.join(sorted(set(sys.modules) & {'dataclasses', 'inspect'})))"
+    probe = ("import sys; "
+             "print(' '.join(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'json'})))")
 
     def loaded(preamble):
         out = subprocess.run([sys.executable, "-c", preamble + probe],
