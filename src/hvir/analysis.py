@@ -5,9 +5,11 @@ group.  Within a window the engine computes exact submodule closures as
 the basis lines reachable from the seeds, scans for reducibility,
 decomposes restrictions into cosets, checks shift intertwiners, recovers
 module parameters from abstract action tables, and aligns rescaled
-bases.  Table builders and intertwiner checks walk (source, target)
-pairs of window indices; recovery builds one scale chain per candidate
-slope and checks every entry once.
+bases.  Table builders walk (source, target) pairs of window positions
+and build the keys and the d-coefficient at source 0 of each of the
+4B+1 steps once.  Recovery builds one scale chain per candidate slope
+and checks every entry once against its generator's base; intertwiner
+checks compare each step once.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
@@ -389,12 +391,13 @@ def intertwiner_check(p1, p2, shift, window):
     """Whether mapping the basis vector at q to the target basis vector at
     q - shift commutes with every window generator action.
 
-    The check walks all pairs of sources q and targets t whose shifted
+    The check covers all pairs of sources q and targets t whose shifted
     images q - shift and t - shift also lie inside the window and compares
     the exact coefficients of d(t - q); the I-coefficients force the
-    I-eigenvalues to agree.  Returns False when fewer than two such
-    indices exist, since no off-diagonal comparison can then attest
-    anything.
+    I-eigenvalues to agree.  The source cancels from the comparison, so
+    each step t - q is compared once, at source 0.  Returns False when
+    fewer than two such indices exist, since no off-diagonal comparison
+    can then attest anything.
     """
     if p1.group != p2.group:
         raise GroupMismatchError("cannot compare modules over different groups")
@@ -403,14 +406,13 @@ def intertwiner_check(p1, p2, shift, window):
         raise SubalgebraError("shift %s lies outside the group %s" % (shift, p1.group))
     if p1.f != p2.f:
         return False
-    sources = [q for q in window.indices() if q - shift in window]
-    for q in sources:
-        for t in sources:
-            if d_coefficient(p1.alpha, p1.beta, q, t - q) != d_coefficient(
-                p2.alpha, p2.beta, q - shift, t - q
-            ):
-                return False
-    return len(sources) > 1
+    # the sources are a run of consecutive window positions, so the steps
+    # t - q are the multiples n*step with |n| < len(sources)
+    reach = sum(q - shift in window for q in window.indices()) - 1
+    for g in window._multiples(reach):
+        if d_coefficient(p1.alpha, p1.beta, 0, g) != d_coefficient(p2.alpha, p2.beta, -shift, g):
+            return False
+    return reach > 0
 
 
 class ActionTable:
@@ -419,6 +421,10 @@ class ActionTable:
     Entries map ``(generator, source index)`` to ``(target index,
     coefficient)``; at most one target per pair, matching modules whose
     weight spaces are one-dimensional.  Zero coefficients are omitted.
+
+    ``ActionTable(window, entries)`` checks every entry; the internal
+    constructor ``_trusted`` checks nothing and is for this module's
+    table builders alone, whose entries are valid by construction.
     """
 
     def __init__(self, window, entries):
@@ -441,6 +447,13 @@ class ActionTable:
         self.window = window
         self._entries = data
 
+    @classmethod
+    def _trusted(cls, window, entries):
+        self = object.__new__(cls)
+        self.window = window
+        self._entries = entries
+        return self
+
     @property
     def entries(self):
         return dict(self._entries)
@@ -457,23 +470,34 @@ class ActionTable:
         return "ActionTable(%s, %d entries)" % (self.window, len(self._entries))
 
 
-def _entry_order(item):
-    """Sort key of an ``(generator, source) -> (target, coefficient)`` table
-    item: the printed generator, then the source index."""
-    (key, src), _ = item
-    return str(key), src
+class _Memo(dict):
+    """Cache that fills a missing key with ``make(key)``, if that returns."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _coefficient(key, src, alpha, beta, f):
-    """Unscaled coefficient of a table generator at a source index."""
-    return f if key.kind == "I" else d_coefficient(alpha, beta, src, key.index)
+def _printed_order(items):
+    """``(name, generator, source, target, coefficient)`` rows of table
+    items, sorted by the printed generator ``name``, then the source;
+    each distinct generator is printed once."""
+    names = _Memo(str)
+    rows = [(names[key], key, src, tgt, coeff) for (key, src), (tgt, coeff) in items]
+    return sorted(rows, key=lambda row: (row[0], row[2]))
 
 
 def intermediate_series_table(params, window, scales=None):
     """Action table of the module on a window of its own index group.
 
     ``scales`` optionally rescales the basis: with u(q) = c(q) v(q) the
-    entry coefficients become coeff * c(source) / c(target).
+    entry coefficients become coeff * c(source) / c(target).  The keys
+    d(g), I(g) and the d-coefficient at source 0 of each of the 4B+1
+    steps g are built once; an entry adds its source to that base.
     """
     _require_window_inside(params, window)
     indices = window.indices()
@@ -485,15 +509,20 @@ def intermediate_series_table(params, window, scales=None):
         missing = [q for q in indices if q not in c]
         if missing:
             raise ValueError("scale factor missing for index %s" % missing[0])
+        c = [c[q] for q in indices]
+    alpha, beta, f = params.alpha, params.beta, params.f
+    # steps[2B - i + j] is the step from position i to position j
+    steps = [(d(g), I(g), d_coefficient(alpha, beta, 0, g)) for g in window.steps()]
     entries = {}
-    for src in indices:
-        for tgt in indices:
-            ratio = c[src] / c[tgt] if c is not None else 1
-            for key in (d(tgt - src), I(tgt - src)):
-                coeff = _coefficient(key, src, params.alpha, params.beta, params.f)
-                if coeff:
-                    entries[(key, src)] = (tgt, coeff * ratio)
-    return ActionTable(window, entries)
+    for i, src in enumerate(indices):
+        for j, (tgt, (dk, ik, base)) in enumerate(zip(indices, steps[2 * window.bound - i:])):
+            ratio = None if c is None else c[i] / c[j]
+            coeff = base + src
+            if coeff:
+                entries[(dk, src)] = (tgt, coeff if ratio is None else coeff * ratio)
+            if f:
+                entries[(ik, src)] = (tgt, f if ratio is None else f * ratio)
+    return ActionTable._trusted(window, entries)
 
 
 def transported_table(params, m, bound):
@@ -502,25 +531,26 @@ def transported_table(params, m, bound):
 
     The basis vector relabelled n is the module's vector at n/m!; each
     entry applies the rescaled generator exactly and records the single
-    resulting coefficient.
+    resulting coefficient.  The 2(4B+1) images and the 2B+1 rescaled
+    indices are computed once and looked up by window position.
     """
     _require_qk(params, m, "transport")
     window_z = Window(INTEGERS, bound)
     phi = RescalingMap(m, CENTERLESS)
     M = phi.scale
-    images = {
-        n: [(key, apply_phi(phi, key)) for key in (d(n), I(n))] for n in window_z.steps()
-    }
+    # images[2B - i + j] acts from position i to position j
+    images = [[(key, apply_phi(phi, key)) for key in (d(n), I(n))] for n in window_z.steps()]
     indices = window_z.indices()
+    rescaled = [q / M for q in indices]
     entries = {}
-    for src in indices:
-        vector = basis_vector(params, src / M)
-        for tgt in indices:
-            for key, image in images[tgt - src]:
-                coeff = act(params, image, vector).coefficient(tgt / M)
+    for i, src in enumerate(indices):
+        vector = basis_vector(params, rescaled[i])
+        for tgt, at, pair in zip(indices, rescaled, images[2 * bound - i:]):
+            for key, image in pair:
+                coeff = act(params, image, vector).coefficient(at)
                 if coeff:
                     entries[(key, src)] = (tgt, coeff)
-    return ActionTable(window_z, entries)
+    return ActionTable._trusted(window_z, entries)
 
 
 def _rational_sqrt(x):
@@ -563,8 +593,10 @@ def _chain_scales(window, edges, base):
     return scales
 
 
-def _expected(key, src, alpha, beta, f):
-    expected = _coefficient(key, src, alpha, beta, f)
+def _expected(key, src, bases, f):
+    """Nonzero unscaled coefficient of a table entry; ``bases`` maps each
+    d(g) to its coefficient at source 0, and at q it is that plus q."""
+    expected = bases[key] + src if key.kind == "d" else f
     if expected == 0:
         raise NotIntermediateSeriesError(
             "entry %s at %s is nonzero where the action must vanish" % (key, src)
@@ -572,9 +604,15 @@ def _expected(key, src, alpha, beta, f):
     return expected
 
 
+def _d_bases(alpha, beta):
+    """Each d(g)'s coefficient at source 0, computed when first asked for."""
+    return _Memo(lambda key: d_coefficient(alpha, beta, 0, key.index))
+
+
 def _verify_table(entries, alpha, beta, f, scales):
+    bases = _d_bases(alpha, beta)
     for (key, src), (tgt, coeff) in entries.items():
-        expected = _expected(key, src, alpha, beta, f) * scales[src] / scales[tgt]
+        expected = _expected(key, src, bases, f) * scales[src] / scales[tgt]
         if coeff != expected:
             raise NotIntermediateSeriesError(
                 "entry %s at %s has coefficient %s, expected %s"
@@ -629,9 +667,9 @@ def recover_params(table):
     # I entries exist only when f is nonzero
     i_edges = {(src, tgt): coeff / f for (key, src), (tgt, coeff) in entries.items()
                if key.kind == "I" and key.index != 0}
-    d_steps = [(key, src, tgt, coeff)
-               for (key, src), (tgt, coeff) in sorted(entries.items(), key=_entry_order)
-               if key.kind == "d" and key.index != 0]
+    d_steps = [row[1:] for row in _printed_order(
+        item for item in entries.items() if item[0][0].kind == "d" and item[0][0].index != 0
+    )]
 
     if f:
         try:
@@ -660,10 +698,11 @@ def recover_params(table):
             "loop products admit no rational coefficient slope"
         )
     for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
+        bases = _d_bases(alpha, beta)
         try:
             edges = dict(i_edges)
             for key, src, tgt, coeff in d_steps:
-                edges[(src, tgt)] = coeff / _expected(key, src, alpha, beta, f)
+                edges[(src, tgt)] = coeff / _expected(key, src, bases, f)
             scales = _chain_scales(window, edges, base)
             _verify_table(entries, alpha, beta, f, scales)
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
@@ -724,8 +763,8 @@ def align_extension(reference, candidate):
     indices = sorted(rescaled)
     for q in indices:
         for t in indices:
-            for key in (d(t - q), I(t - q)):
-                coeff = _coefficient(key, q, params.alpha, params.beta, params.f)
+            for key, coeff in ((d(t - q), d_coefficient(params.alpha, params.beta, q, t - q)),
+                               (I(t - q), params.f)):
                 if act(params, key, rescaled[q]) != coeff * rescaled[t]:
                     raise ValueError(
                         "candidate violates the %s-action relation from %s to %s"

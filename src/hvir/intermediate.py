@@ -80,7 +80,9 @@ def d_coefficient(alpha, beta, q, g):
 
     It is linear in (alpha, q, g*beta): scaling alpha, q and the product
     g*beta by one common factor scales the coefficient by it, which lets
-    :func:`act` evaluate it on integers.
+    :func:`act` evaluate it on integers.  It is also alpha + g*beta plus
+    q, so the table path evaluates it at q = 0 once per step or generator
+    and adds each source.
     """
     return alpha + q + g * beta
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import inf
 
 from .algebra import CD, CDI, CI, AlgebraElement, I, d
-from .analysis import ActionTable, Window, _entry_order
+from .analysis import ActionTable, Window, _Memo, _printed_order
 from .errors import ParseError
 from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
@@ -57,12 +57,11 @@ class _Scanner:
     def peek(self):
         return "" if self.at_end() else self.text[self.pos]
 
-    def at_digit(self):
-        return "0" <= self.peek() <= "9"
-
     def skip_ws(self):
-        while not self.at_end() and self.text[self.pos] in _BLANKS:
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in _BLANKS:
+            pos += 1
+        self.pos = pos
 
     def expect(self, ch):
         if self.peek() != ch:
@@ -77,18 +76,20 @@ class _Scanner:
         return value
 
     def digits(self, what="a digit"):
-        start = self.pos
-        while self.at_digit():
-            self.pos += 1
-        if self.pos == start:
+        text = self.text
+        start = pos = self.pos
+        while pos < len(text) and "0" <= text[pos] <= "9":
+            pos += 1
+        self.pos = pos
+        if pos == start:
             self.error("expected %s" % what)
-        if self.pos - start > MAX_DIGITS:
+        if pos - start > MAX_DIGITS:
             self.error(
                 "literal of %d digits exceeds the cap of %d digits"
-                % (self.pos - start, MAX_DIGITS),
+                % (pos - start, MAX_DIGITS),
                 start,
             )
-        return int(self.text[start:self.pos])
+        return int(text[start:pos])
 
     def sign(self):
         """-1 after a ``-``, else 1; reads an optional ``+`` or ``-``."""
@@ -170,7 +171,7 @@ def parse_element(text):
     sign = s.sign()
     while True:
         s.skip_ws()
-        if s.at_digit():
+        if "0" <= s.peek() <= "9":
             coeff = s.rational()
             s.skip_ws()
             s.expect("*")
@@ -268,7 +269,8 @@ def parse_table(text):
 
     The first non-blank line is ``window <groupspec> <bound>``; every
     following non-blank line is ``<generator> <source> <target>
-    <coefficient>`` with whitespace-separated fields.
+    <coefficient>`` with whitespace-separated fields.  Each distinct
+    generator and rational field is parsed once per call.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -283,14 +285,16 @@ def parse_table(text):
         raise ParseError("table windows require a cyclic group spec")
     window = Window(group, bound)
     entries = {}
+    keys = _Memo(lambda text: _field(text, _parse_atom, "generator"))
+    rationals = _Memo(parse_rational)
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
             raise ParseError("table line needs 4 fields, got %r" % line)
-        key = _field(fields[0], _parse_atom, "generator")
-        src = parse_rational(fields[1])
-        tgt = parse_rational(fields[2])
-        coeff = parse_rational(fields[3])
+        key = keys[fields[0]]
+        src = rationals[fields[1]]
+        tgt = rationals[fields[2]]
+        coeff = rationals[fields[3]]
         if (key, src) in entries:
             raise ParseError("duplicate table entry for %s at %s" % (key, src))
         entries[(key, src)] = (tgt, coeff)
@@ -303,6 +307,6 @@ def parse_table(text):
 def format_table(table):
     """Inverse of :func:`parse_table` for the same file format."""
     lines = ["window %s %d" % (table.window.group, table.window.bound)]
-    for (key, src), (tgt, coeff) in sorted(table.entries.items(), key=_entry_order):
-        lines.append("%s %s %s %s" % (key, src, tgt, coeff))
+    for name, _, src, tgt, coeff in _printed_order(table.entries.items()):
+        lines.append("%s %s %s %s" % (name, src, tgt, coeff))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random rationals and module parameters,
 the Fraction-dict oracles for weight vectors, the module action and
 exact spans, the exact-elimination oracle for the window engine, the
-one-pass-per-entry oracles for the action-table path, the accumulator-per-operation oracle
+one-pass-per-entry oracles for the action-table path, the per-character
+scanner, the accumulator-per-operation oracle
 for algebra elements, the entry-dict proportionality test, the
 valuation-profile oracle for the subgroup lattice, and the dataclass
 oracles for the value classes."""
@@ -54,8 +55,9 @@ from hvir import (
 )
 from hvir.algebra import _CENTRAL_KINDS, _as_element, _basis_bracket, _signed_terms
 from hvir.analysis import MAX_WINDOW_BOUND
-from hvir.groups import MAX_FACTORIAL_ORDER, _check_prime_powers, _factorint
+from hvir.groups import MAX_DIGITS, MAX_FACTORIAL_ORDER, _check_prime_powers, _factorint
 from hvir.intermediate import d_coefficient
+from hvir.parsing import _Scanner
 
 
 def rng(seed):
@@ -339,6 +341,29 @@ def reference_scan(params, window):
     if stray is not None:
         raise NotIntermediateSeriesError("seed at %s matches no verdict" % stray)
     return VERDICT_IRREDUCIBLE, dims, None
+
+
+class ReferenceScanner(_Scanner):
+    """``_Scanner`` with the per-character ``skip_ws`` and ``digits`` that
+    its local index loops replaced: three method calls per character."""
+
+    def skip_ws(self):
+        while not self.at_end() and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def digits(self, what="a digit"):
+        start = self.pos
+        while not self.at_end() and "0" <= self.peek() <= "9":
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected %s" % what)
+        if self.pos - start > MAX_DIGITS:
+            self.error(
+                "literal of %d digits exceeds the cap of %d digits"
+                % (self.pos - start, MAX_DIGITS),
+                start,
+            )
+        return int(self.text[start:self.pos])
 
 
 def reference_window_contains(window, q):

@@ -104,6 +104,18 @@ class TestParser:
         ("window qk:0 2\nCD 0 0 1\n", "table generators must be d(...) or I(...) symbols"),
         # ActionTable checks the generators once every line has parsed
         ("window qk:0 2\nCD 0 0 1\nd(0) 0 0\n", "table line needs 4 fields, got 'd(0) 0 0'"),
+        # a bad field after its generator and neighbours parsed fine
+        ("window qk:0 2\nd(1) 0 1 2\nd(1) 0x 1 2\n",
+         "trailing input after rational at offset 2"),
+        ("window qk:0 2\nd(1) 0 1 2\nd(1) 0 1/0 2\n",
+         "denominator must be positive at offset 3"),
+        ("window qk:0 2\nd(1) 0 1 2\nd(1)) 0 1 2\n",
+         "trailing input after generator at offset 5"),
+        # a text that parsed as a generator is still no rational
+        ("window qk:0 2\nd(1) 0 1 2\nd(1) d(1) 1 2\n", "expected a digit at offset 1"),
+        # every field of the duplicate was parsed on an earlier line
+        ("window qk:0 2\nd(1) 0 1 2\nd(-1) 1 0 2\nd(1) 0 1 2\n",
+         "duplicate table entry for d(1) at 0"),
     ])
     def test_table(self, text, expected):
         assert message(ParseError, parse_table, text) == expected

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 from math import inf
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import hvir.parsing as parsing
 
 from hvir import (
     AlgebraElement,
@@ -31,6 +34,7 @@ from hvir import (
     supernatural,
     Window,
 )
+from helpers import ReferenceScanner
 
 F = Fraction
 
@@ -220,10 +224,56 @@ class TestTableFiles:
         with pytest.raises(ParseError):
             parse_table(text)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([qk(0), cyclic(F(1, 2)), qk(2)]), st.integers(1, 4), st.data())
+    def test_scaled_round_trip(self, group, bound, data):
+        window = Window(group, bound)
+        fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+        params = ModuleParams(data.draw(fractions), data.draw(fractions), data.draw(fractions),
+                              group)
+        scales = {q: data.draw(fractions.filter(bool)) for q in window.indices()}
+        table = intermediate_series_table(params, window, scales)
+        assert parse_table(format_table(table)) == table
+
     def test_blank_lines_ignored(self):
         text = "\nwindow cyclic:1 2\n\nd(1) 0 1 2\n\n"
         table = parse_table(text)
         assert len(table) == 1
+
+
+def scan_outcome(parse, text):
+    """The value of ``parse(text)``, or its ParseError message and offset."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# blanks, ASCII and non-ASCII digits, operators, brackets and letters
+SCANNER_ALPHABET = " \t0123456789٣²/+-*()dICDx"
+scanner_texts = st.one_of(
+    st.text(SCANNER_ALPHABET, max_size=12),
+    st.lists(st.sampled_from(["d(", "I(", ")", "CD", "CDI", "CI", "*", "+", "-", "/",
+                              " ", "\t", "0", "3", "12", "٣", "²", "x"]),
+             max_size=10).map("".join),
+)
+
+
+class TestScannerOracle:
+    """``parse_rational`` and ``parse_element`` read the same values and
+    raise the same messages at the same offsets as with the per-character
+    scanner."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([parse_rational, parse_element]), scanner_texts)
+    @example(parse_rational, " -" + "9" * 4300 + "/7\t")
+    @example(parse_rational, "1/" + "3" * 4301)
+    @example(parse_element, "\t" + "1" * 4301 + "*d(1)")
+    def test_matches_per_character_scanner(self, parse, text):
+        fast = scan_outcome(parse, text)
+        with mock.patch.object(parsing, "_Scanner", ReferenceScanner):
+            slow = scan_outcome(parse, text)
+        assert fast == slow
 
 
 class TestDigitReader:
