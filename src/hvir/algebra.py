@@ -12,15 +12,15 @@ with CD, CDI, CI bracketing to zero against everything.  Keeping only the
 ``d`` and ``CD`` symbols gives the Virasoro subalgebra; no separate code
 path is needed for it.
 
-Elements are sparse maps from basis symbols to exact rational
-coefficients; zero coefficients are never stored, so equality is
-structural.
+An element is held in integers, as a ``WeightVector`` is, with no zero
+coefficients, so equality is structural; its arithmetic, :func:`bracket`
+and :func:`apply_phi` run on these integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from ._frozen import Frozen, set_field
 from .errors import CentralTermError, IndexDomainError
@@ -45,10 +45,12 @@ __all__ = [
     "apply_phi",
 ]
 
-_CENTRAL_KINDS = ("CD", "CDI", "CI")
-# the one term order, used both to store and to print: d(g) by index,
-# I(g) by index, then CD, CDI, CI
-_RANK = {"d": 0, "I": 1, "CD": 2, "CDI": 3, "CI": 4}
+# the symbols by rank: sorted (rank, index) pairs give the one term
+# order, used both to store and to print: d(g) by index, I(g) by index,
+# then CD, CDI, CI
+_KINDS = ("d", "I", "CD", "CDI", "CI")
+_RANK = {kind: r for r, kind in enumerate(_KINDS)}
+_CENTRAL_KINDS = _KINDS[2:]
 
 
 class BasisKey(Frozen):
@@ -104,14 +106,18 @@ def _signed_terms(terms):
 
 
 class AlgebraElement:
-    """Finite linear combination of basis symbols, stored without zeros
-    and in the term order, which is also the print order.
+    """Finite linear combination of basis symbols, held in integers as a
+    ``WeightVector`` is.
 
-    The constructor is the one place that sums terms, drops zeros and
-    orders keys; every operation below hands it its terms.
+    The term (c/D) at the symbol of rank r (0 to 4 for d, I, CD, CDI, CI)
+    and index k/L, with k = 0 for central symbols, is the entry (r, k): c
+    of a dict sorted in the term order.  No c is zero and L and D are
+    gcd-reduced (the zero element has L = D = 1), so equal elements have
+    equal fields.  Fractions appear only at the boundary: the
+    constructor's input, ``terms``, ``coefficient`` and ``str``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_L", "_D", "_num", "_gens")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -119,11 +125,42 @@ class AlgebraElement:
         for key, coeff in items:
             if not isinstance(key, BasisKey):
                 raise TypeError("term keys must be BasisKey, got %r" % (key,))
-            coeff = as_fraction(coeff)
-            if coeff:
-                acc[key] = acc.get(key, 0) + coeff
-        order = sorted(acc, key=lambda k: (_RANK[k.kind], k.index or 0))
-        self._terms = {key: acc[key] for key in order if acc[key]}
+            term = _RANK[key.kind], key.index or 0
+            acc[term] = acc.get(term, 0) + as_fraction(coeff)
+        L = lcm(*(q.denominator for _, q in acc))
+        D = lcm(*(c.denominator for c in acc.values()))
+        num = {(r, q.numerator * (L // q.denominator)): c.numerator * (D // c.denominator)
+               for (r, q), c in acc.items()}
+        self._set_canonical(L, D, num)
+
+    @classmethod
+    def _canonical(cls, L, D, num):
+        # internal constructor from an unreduced integer form
+        self = object.__new__(cls)
+        self._set_canonical(L, D, num)
+        return self
+
+    def _set_canonical(self, L, D, num):
+        if 0 in num.values():
+            num = {key: c for key, c in num.items() if c}
+        if not num:
+            L = D = 1
+        else:
+            gl = gcd(L, *(k for _, k in num))
+            gc = gcd(D, *num.values())
+            if gl != 1 or gc != 1 or len(num) > 1:
+                L //= gl
+                D //= gc
+                num = {(r, k // gl): num[r, k] // gc for r, k in sorted(num)}
+        self._L, self._D, self._num, self._gens = L, D, num, None
+
+    def _generators(self):
+        """``(gcd(k)/L, [(r, k, c) for each d and I term])``, made once: a
+        subgroup holds all the indices k/L exactly when it holds gcd(k)/L."""
+        if self._gens is None:
+            gens = [(r, k, c) for (r, k), c in self._num.items() if r < 2]
+            self._gens = Fraction(gcd(*(k for _, k, _ in gens)), self._L), gens
+        return self._gens
 
     @classmethod
     def basis(cls, key, coeff=1):
@@ -131,29 +168,37 @@ class AlgebraElement:
 
     @property
     def terms(self):
-        return dict(self._terms)
+        L, D = self._L, self._D
+        return {BasisKey(_KINDS[r], Fraction(k, L) if r < 2 else None): Fraction(c, D)
+                for (r, k), c in self._num.items()}
 
     def coefficient(self, key):
-        return self._terms.get(key, Fraction(0))
+        return self.terms.get(key, Fraction(0))
 
     def is_zero(self):
-        return not self._terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self._terms == other._terms
+        return self._L == other._L and self._D == other._D and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return AlgebraElement([*self._terms.items(), *other._terms.items()])
+        L, D = lcm(self._L, other._L), lcm(self._D, other._D)
+        acc = {}
+        for x in (self, other):
+            ks, cs = L // x._L, D // x._D
+            for (r, k), c in x._num.items():
+                acc[r, k * ks] = acc.get((r, k * ks), 0) + c * cs
+        return AlgebraElement._canonical(L, D, acc)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -165,18 +210,23 @@ class AlgebraElement:
 
     def __mul__(self, scalar):
         scalar = as_fraction(scalar)
-        return AlgebraElement({k: scalar * c for k, c in self._terms.items()})
+        sn = scalar.numerator
+        return AlgebraElement._canonical(
+            self._L, self._D * scalar.denominator, {key: sn * c for key, c in self._num.items()}
+        )
 
     __rmul__ = __mul__
 
     def central_part(self):
-        return AlgebraElement({k: c for k, c in self._terms.items() if k.is_central})
+        num = {key: c for key, c in self._num.items() if key[0] > 1}
+        return AlgebraElement._canonical(self._L, self._D, num)
 
     def without_central(self):
-        return AlgebraElement({k: c for k, c in self._terms.items() if not k.is_central})
+        num = {key: c for key, c in self._num.items() if key[0] < 2}
+        return AlgebraElement._canonical(self._L, self._D, num)
 
     def __str__(self):
-        return _signed_terms((str(key), c) for key, c in self._terms.items())
+        return _signed_terms((str(key), c) for key, c in self.terms.items())
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self
@@ -193,45 +243,40 @@ def _as_element(x):
     raise TypeError("expected an algebra element, got %r" % (x,))
 
 
-def _basis_bracket(a, b):
-    """Bracket of two non-central basis symbols as (key, coefficient) pairs."""
-    g, h = a.index, b.index
-    if a.kind == "d" and b.kind == "d":
-        out = []
-        if g != h:
-            out.append((d(g + h), h - g))
-        if g == -h:
-            c = (g * g * g - g) / 12
-            if c:
-                out.append((CD, c))
-        return out
-    if a.kind == "d" and b.kind == "I":
-        out = []
-        if h:
-            out.append((I(g + h), h))
-        if g == -h:
-            c = g * g + g
-            if c:
-                out.append((CDI, c))
-        return out
-    if a.kind == "I" and b.kind == "d":
-        return [(key, -coeff) for key, coeff in _basis_bracket(b, a)]
-    # I against I
-    if g == -h and g:
-        return [(CI, g)]
-    return []
-
-
 def bracket(x, y):
-    """Bilinear extension of the basis bracket; central terms die."""
-    x = _as_element(x)
-    y = _as_element(y)
-    return AlgebraElement(
-        (key, c1 * c2 * coeff)
-        for k1, c1 in x._terms.items() if not k1.is_central
-        for k2, c2 in y._terms.items() if not k2.is_central
-        for key, coeff in _basis_bracket(k1, k2)
-    )
+    """Bilinear extension of the basis bracket; central terms die.
+
+    It runs on integers over the common index denominator L.  With
+    g = a/L and h = b/L, each formula of the module docstring times
+    12 L^3 has integer coefficients, and [I(g), d(h)] is -[d(h), I(g)].
+    """
+    x, y = _as_element(x), _as_element(y)
+    L = lcm(x._L, y._L)
+    sx, sy = L // x._L, L // y._L
+    T = 12 * L * L
+    right = y._gens or y._generators()
+    acc = {}
+    for r, a, cx in (x._gens or x._generators())[1]:
+        a *= sx
+        for s, h, c in right[1]:
+            g, h, c = a, h * sy, c * cx
+            if r > s:
+                g, h, c = h, g, -c
+            # the coefficient at the rank-max(r,s) term of index g+h, and
+            # at the central term of rank r+s+2 when g+h is 0
+            if r != s:  # h I(g+h) + delta(g,-h) (g^2+g) CDI
+                main, central = h * T, 12 * L * (g * g + g * L)
+            elif r:  # g delta(g,-h) CI
+                main, central = 0, g * T
+            else:  # (h-g) d(g+h) + delta(g,-h) (g^3-g)/12 CD
+                main, central = (h - g) * T, g * (g * g - L * L)
+            if main:
+                key = 1 if r or s else 0, g + h
+                acc[key] = acc.get(key, 0) + c * main
+            if central and g == -h:
+                key = r + s + 2, 0
+                acc[key] = acc.get(key, 0) + c * central
+    return AlgebraElement._canonical(L, x._D * y._D * T * L, acc)
 
 
 def jacobiator(x, y, z):
@@ -247,10 +292,10 @@ def weight_components(x):
     """
     x = _as_element(x)
     buckets = {}
-    for key, coeff in x._terms.items():
-        weight = Fraction(0) if key.is_central else key.index
-        buckets.setdefault(weight, []).append((key, coeff))
-    return {w: AlgebraElement(items) for w, items in sorted(buckets.items())}
+    for (r, k), c in x._num.items():
+        buckets.setdefault(k, {})[r, k] = c
+    return {Fraction(k, x._L): AlgebraElement._canonical(x._L, x._D, num)
+            for k, num in sorted(buckets.items())}
 
 
 def in_subalgebra(x, group):
@@ -260,8 +305,7 @@ def in_subalgebra(x, group):
     """
     if not isinstance(group, SubgroupSpec):
         raise TypeError("expected a subgroup spec, got %r" % (group,))
-    x = _as_element(x)
-    return all(key.is_central or contains(group, key.index) for key in x._terms)
+    return contains(group, _as_element(x)._generators()[0])
 
 
 CENTERLESS = "centerless"
@@ -311,25 +355,18 @@ def apply_phi(rescaling, x):
     x = _as_element(x)
     exact = rescaling.variant == EXACT_CENTRAL
     # checked first: a central term is reported before any index error
-    if not exact and any(key.is_central for key in x._terms):
+    if not exact and any(r > 1 for r, _ in x._num):
         raise CentralTermError("the centerless rescaling is undefined on central elements")
-    return AlgebraElement(_phi_terms(x, rescaling.scale, exact))
-
-
-def _phi_terms(x, M, exact):
-    """The (key, coefficient) pairs of the rescaled image of ``x``."""
-    central_scale = {"CD": 1 / M, "CDI": 1, "CI": M}
-    for key, coeff in x._terms.items():
-        n = key.index
-        if n is None:
-            yield key, coeff * central_scale[key.kind]
-        elif n.denominator != 1:
-            raise IndexDomainError("rescaling domain is integer indices, got %s" % n)
-        elif key.kind == "d":
-            yield d(n / M), coeff * M
-            if exact and n == 0:
-                yield CD, coeff * (M * M - 1) / (24 * M)
-        else:
-            yield I(n / M), coeff * M
-            if exact and n == 0:
-                yield CDI, coeff * (1 - M)
+    if x._L != 1:
+        k = next(k for _, k in x._num if k % x._L)
+        raise IndexDomainError("rescaling domain is integer indices, got %s" % Fraction(k, x._L))
+    # times 24M, the index n goes to n/M and all coefficients are integers
+    M = factorial(rescaling.m)
+    scale = (24 * M * M, 24 * M * M, 24, 24 * M, 24 * M * M)
+    corrections = (M * M - 1, 24 * M * (1 - M))
+    acc = {}
+    for (r, k), c in x._num.items():
+        acc[r, k] = acc.get((r, k), 0) + c * scale[r]
+        if exact and r < 2 and not k:
+            acc[r + 2, 0] = acc.get((r + 2, 0), 0) + c * corrections[r]
+    return AlgebraElement._canonical(M, x._D * 24 * M, acc)

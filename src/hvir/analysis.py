@@ -431,13 +431,15 @@ class ActionTable:
         if not isinstance(window, Window):
             raise TypeError("expected a Window")
         data = {}
+        # a table has at most 2B+1 distinct indices: each is checked once
+        inside = _Memo(window.__contains__)
         for (key, src), (tgt, coeff) in dict(entries).items():
             if not isinstance(key, BasisKey) or key.is_central:
                 raise ValueError("table generators must be d(...) or I(...) symbols")
             src = as_fraction(src)
             tgt = as_fraction(tgt)
             coeff = as_fraction(coeff)
-            if src not in window or tgt not in window:
+            if not (inside[src] and inside[tgt]):
                 raise ValueError(
                     "table entry %s: %s -> %s leaves the window" % (key, src, tgt)
                 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 from bisect import bisect_right
 from itertools import combinations
@@ -332,6 +333,12 @@ def build_parser():
     p.add_argument("--table", required=True, metavar="FILE")
     p.set_defaults(handler=_cmd_recover)
 
+    # a word that begins with one "-" and names no option of its verb, such
+    # as -1/3,1,0@Q or -2*d(1), is a value: argparse takes a word for a
+    # value when no option matches it and this pattern, meant for negative
+    # numbers, does
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile("-[^-]")
     return parser
 
 

@@ -239,37 +239,25 @@ def act(params, x, v):
     symbols act as zero.  The result lives in the full module, with no
     window truncation.
 
-    The work is done on integers: the index denominator L grows to a
-    multiple of a generator's denominator only when that one does not
-    divide it, and every coefficient shares one denominator.
+    The work is done on the integers of ``x`` and ``v``, with one
+    membership test for all of the indices of ``x``.
     """
     x = _as_element(x)
     if v.params is not params and v.params != params:
         raise GroupMismatchError("vector belongs to %s, not %s" % (v.params, params))
     group = params.group
-    f = params.f
-    L = v._L
-    gens = []
-    for key, c in x._terms.items():
-        g = key.index
-        if g is None:
-            continue
-        if not contains(group, g):
-            raise SubalgebraError(
-                "element %s has indices outside the group %s" % (x, group)
-            )
-        if key.kind == "d" or f:
-            gd = g.denominator
-            gens.append((key.kind == "d", g.numerator, gd, c.numerator, c.denominator))
-            if L % gd:
-                L = lcm(L, gd)
+    span, gens = x._gens or x._generators()
+    if span and not contains(group, span):
+        raise SubalgebraError("element %s has indices outside the group %s" % (x, group))
     source = v._num
     if not gens or not source:
         return WeightVector._canonical(params, 1, 1, {})
+    L = lcm(v._L, x._L)
     if L != v._L:
         scale = L // v._L
         source = {k * scale: c for k, c in source.items()}
-    alpha, beta = params.alpha, params.beta
+    sx = L // x._L
+    alpha, beta, f = params.alpha, params.beta, params.f
     an, ad = alpha.numerator, alpha.denominator
     bn, bd = beta.numerator, beta.denominator
     fn, fd = f.numerator, f.denominator
@@ -279,27 +267,22 @@ def act(params, x, v):
     P = S * L
     alpha_P = an * bd * L
     beta_P = bn * ad
-    # every term's coefficient denominator, cd*P for d and cd*fd for I,
-    # divides den
-    den = 1
-    for is_d, _, _, _, cd in gens:
-        den = lcm(den, cd * (P if is_d else fd))
     acc = {}
-    for is_d, gn, gd, cn, cd in gens:
-        gk = gn * (L // gd)
-        if is_d:
-            cn *= den // (cd * P)
+    for r, gk, c in gens:
+        gk *= sx
+        if r == 0:
+            c *= fd
             for k, cv in source.items():
                 w = d_coefficient(alpha_P, beta_P, k * S, gk)
                 if w:
                     t = k + gk
-                    acc[t] = acc.get(t, 0) + cn * cv * w
-        else:
-            cf = cn * fn * (den // (cd * fd))
+                    acc[t] = acc.get(t, 0) + c * cv * w
+        elif fn:
+            c *= fn * P
             for k, cv in source.items():
                 t = k + gk
-                acc[t] = acc.get(t, 0) + cf * cv
-    return WeightVector._canonical(params, L, v._D * den, acc)
+                acc[t] = acc.get(t, 0) + c * cv
+    return WeightVector._canonical(params, L, x._D * v._D * P * fd, acc)
 
 
 def act_word(params, word, v):

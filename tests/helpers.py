@@ -2,8 +2,8 @@
 the Fraction-dict oracles for weight vectors, the module action and
 exact spans, the exact-elimination oracle for the window engine, the
 one-pass-per-entry oracles for the action-table path, the per-character
-scanner, the accumulator-per-operation oracle
-for algebra elements, the entry-dict proportionality test, the
+scanner, the accumulator-per-operation oracle for algebra elements with
+its own Fraction basis bracket, the entry-dict proportionality test, the
 valuation-profile oracle for the subgroup lattice, and the dataclass
 oracles for the value classes."""
 
@@ -53,7 +53,7 @@ from hvir import (
     qk,
     supernatural,
 )
-from hvir.algebra import _CENTRAL_KINDS, _as_element, _basis_bracket, _signed_terms
+from hvir.algebra import _CENTRAL_KINDS, _as_element, _signed_terms
 from hvir.analysis import MAX_WINDOW_BOUND
 from hvir.groups import MAX_DIGITS, MAX_FACTORIAL_ORDER, _check_prime_powers, _factorint
 from hvir.intermediate import d_coefficient
@@ -178,7 +178,7 @@ def reference_act(params, x, v):
     group = params.group
     alpha, beta, f = params.alpha, params.beta, params.f
     acc = {}
-    for key, c in x._terms.items():
+    for key, c in x.terms.items():
         g = key.index
         if g is None:
             continue
@@ -663,9 +663,28 @@ class ReferenceElement:
         return _signed_terms((str(key), self._terms[key]) for key in keys)
 
 
+def reference_basis_bracket(a, b):
+    """The bracket of two non-central basis symbols as (key, coefficient)
+    pairs, read off the three formulas of the paper in Fractions:
+
+        [d(g), d(h)] = (h - g) d(g+h) + delta(g, -h) (g^3 - g)/12 CD
+        [d(g), I(h)] = h I(g+h)       + delta(g, -h) (g^2 + g)    CDI
+        [I(g), I(h)] = g delta(g, -h) CI
+    """
+    g, h = a.index, b.index
+    delta = g + h == 0
+    if a.kind == "d" and b.kind == "d":
+        return [(d(g + h), h - g)] + ([(CD, (g ** 3 - g) / 12)] if delta else [])
+    if a.kind == "d":
+        return [(I(g + h), h)] + ([(CDI, g ** 2 + g)] if delta else [])
+    if b.kind == "d":
+        return [(key, -c) for key, c in reference_basis_bracket(b, a)]
+    return [(CI, g)] if delta else []
+
+
 def reference_bracket(x, y):
-    """Oracle for ``bracket`` on ``ReferenceElement``s, summing into a dict
-    (the basis bracket ``_basis_bracket`` itself is shared)."""
+    """Oracle for ``bracket`` on ``ReferenceElement``s, summing
+    ``reference_basis_bracket`` into a dict."""
     acc = {}
     for k1, c1 in x._terms.items():
         if k1.is_central:
@@ -674,7 +693,7 @@ def reference_bracket(x, y):
             if k2.is_central:
                 continue
             scale = c1 * c2
-            for key, coeff in _basis_bracket(k1, k2):
+            for key, coeff in reference_basis_bracket(k1, k2):
                 acc[key] = acc.get(key, 0) + scale * coeff
     return ReferenceElement(acc)
 

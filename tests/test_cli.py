@@ -150,11 +150,51 @@ class TestVerbs:
         (["closure", "0,0,1@qk:0", "--window", "3", "--seed=-1,0"], "dimension: 7\n"),
     ])
     def test_values_that_begin_with_a_minus(self, capsys, argv, expected):
-        # argparse takes a word that begins with '-' for an option, so such
-        # values go after '--' or in the --name=value form
+        # values after '--' and in the --name=value form
         status, out, err = run_cli(capsys, *argv)
         assert status == 0 and err == ""
         assert out.startswith(expected)
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["classify", "-1/3,1,0@Q"],
+         "verdict: ReducibleCodimOne\nsubquotient: the span of the nonzero indices "
+         "is an irreducible submodule of codimension 1\n"),
+        (["act", "0,1,1@qk:0", "-2*d(1)", "--at", "0"], "-2*v(1)\n"),
+        (["closure", "0,0,1@qk:0", "--window", "3", "--seed", "-1,0"],
+         "dimension: 7\nwindow size: 7\nindices: -3, -2, -1, 0, 1, 2, 3\n"),
+        (["bracket", "-d(1)", "-I(-1)"], "-I(0) + 2*CDI\n"),
+        (["iso", "-1/3,2,3@cyclic:1", "-4/3,2,3@cyclic:1"], "isomorphic: true\nwitness: -1\n"),
+        (["phi", "--m", "2", "--variant", "exact", "-d(0)"], "-2*d(0) - 1/16*CD\n"),
+    ])
+    def test_positional_values_that_begin_with_a_minus(self, capsys, argv, expected):
+        # a word that begins with one '-' and names no option of its verb
+        # is a value, wherever it stands
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["classify", "0,1,0@Q", "--bogus"],
+        ["closure", "0,0,1@qk:0", "--window", "3", "--seed"],
+        ["act", "0,1,1@qk:0", "-2*d(1)"],
+        ["bracket", "d(1)", "d(2)", "-d(3)"],
+    ])
+    def test_usage_errors_still_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_module_of_its_own(self):
+        # every module hvir.cli imports is loaded by argparse, hvir or
+        # the standard modules it names, so it adds only itself
+        probe = ("import sys, argparse, bisect, itertools, math, os, random, hvir; "
+                 "before = set(sys.modules); import hvir.cli; "
+                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.split() == ["hvir.cli"]
 
     def test_recover_from_file(self, capsys, tmp_path):
         from hvir import ModuleParams, Window, format_table, intermediate_series_table, qk

@@ -3,6 +3,7 @@
 oracle in ``helpers``, and of ``align_extension`` against the entry-dict
 proportionality test."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hvir import (
     NonConstantScalingError,
     RescalingMap,
     WeightVector,
+    ZERO,
     apply_phi,
     align_extension,
     basis_vector,
@@ -29,6 +31,7 @@ from hvir import (
     d,
     jacobiator,
     qk,
+    weight_components,
 )
 from hvir.analysis import _proportionality
 from helpers import (
@@ -147,6 +150,30 @@ class TestArithmeticAgainstReference:
             apply_phi(RescalingMap(2, CENTERLESS), x)
         with pytest.raises(IndexDomainError, match="got 1/2$"):
             apply_phi(RescalingMap(2, EXACT_CENTRAL), x)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists(), term_lists(), small_fractions)
+    def test_equal_elements_have_equal_fields(self, left, right, scalar):
+        # whatever operation built it, an element's integer form is the one
+        # its own terms give, with both denominators gcd-reduced
+        x, y = AlgebraElement(left), AlgebraElement(right)
+        for value in (x, x + y, x - y, x * scalar, bracket(x, y), x.central_part(),
+                      x.without_central(), *weight_components(x).values()):
+            rebuilt = AlgebraElement(value.terms)
+            assert (value._L, value._D, value._num) == (rebuilt._L, rebuilt._D, rebuilt._num)
+            assert math.gcd(value._L, *(k for _, k in value._num)) == 1 or not value._num
+            assert math.gcd(value._D, *value._num.values()) == 1
+            assert list(value._num) == sorted(value._num) and 0 not in value._num.values()
+            assert hash(value) == hash(rebuilt)
+
+    def test_mixed_denominators_reduce(self):
+        x = AlgebraElement([(d(F(1, 2)), F(1, 3)), (I(F(1, 3)), F(1, 4)), (CD, 1)])
+        y = AlgebraElement([(I(F(1, 3)), F(1, 4)), (CD, 1)])
+        assert (x - y)._L == 2 and (x - y)._D == 3
+        assert x - y == AlgebraElement.basis(d(F(1, 2)), F(1, 3))
+        assert (x - x)._L == (x - x)._D == 1 and x - x == ZERO
 
 
 class TestTermOrder:

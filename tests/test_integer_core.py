@@ -20,6 +20,7 @@ from hvir import (
     WeightVector,
     act,
     act_word,
+    bracket,
     contains,
     cyclic,
     d,
@@ -84,10 +85,10 @@ def vector_pairs(draw, count=2):
 
 
 @st.composite
-def elements(draw, indices):
+def elements(draw, indices, min_size=0):
     """Elements of up to three terms, central symbols included."""
     keys = st.one_of(indices.map(d), indices.map(I), st.sampled_from([CD, CDI]))
-    terms = draw(st.lists(st.tuples(keys, small_fractions), min_size=0, max_size=3))
+    terms = draw(st.lists(st.tuples(keys, small_fractions), min_size=min_size, max_size=3))
     return AlgebraElement(terms)
 
 
@@ -160,6 +161,22 @@ class TestAgainstReference:
     @given(st.sampled_from(CORE_GROUPS), any_indices())
     def test_contains(self, group, q):
         assert contains(group, q) == reference_contains(group, q)
+
+
+class TestRepresentationIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bracket_acts_as_the_commutator(self, data):
+        # act([x,y], v) = x.(y.v) - y.(x.v) for multi-term elements and
+        # vectors with mixed denominators over 1/6 Z, sn:2^inf and Q
+        group = data.draw(st.sampled_from(CORE_GROUPS[2:]))
+        indices = group_indices(group)
+        f = data.draw(st.one_of(st.just(F(0)), small_fractions))
+        params = ModuleParams(data.draw(small_fractions), data.draw(small_fractions), f, group)
+        x, y = data.draw(elements(indices, 2)), data.draw(elements(indices, 2))
+        v = WeightVector(params, data.draw(entry_lists(indices)))
+        commutator = act(params, x, act(params, y, v)) - act(params, y, act(params, x, v))
+        assert act(params, bracket(x, y), v) == commutator
 
 
 class TestCanonicalForm:

@@ -4,6 +4,7 @@ against the one-pass-per-entry oracles in ``helpers``."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hvir.analysis as analysis
@@ -249,6 +250,33 @@ class TestWindowMembership:
         assert F(2) in window and F(-2) in window
         assert F(8, 3) not in window and F(-8, 3) not in window
         assert F(1, 3) not in window and 0 in window and 2 in window
+
+
+class TestTableCheck:
+    def test_first_bad_entry_after_valid_repeats_is_reported(self):
+        # every index of the bad entry but its target has passed the check
+        # many times before it; the entry that leaves the window is named
+        window = Window(qk(0), 3)
+        entries = {(key(g), F(s)): (F(s + g), F(1)) for key in (d, I)
+                   for s in range(-3, 4) for g in range(-3 - s, 4 - s)}
+        entries[(d(1), F(3))] = (F(4), F(0))
+        entries[(I(-5), F(-3))] = (F(-8), F(1))
+        with pytest.raises(ValueError) as exc:
+            ActionTable(window, entries)
+        assert str(exc.value) == "table entry d(1): 3 -> 4 leaves the window"
+        del entries[(d(1), F(3))]
+        with pytest.raises(ValueError) as exc:
+            ActionTable(window, entries)
+        assert str(exc.value) == "table entry I(-5): -3 -> -8 leaves the window"
+
+    def test_memo_checks_each_index_once(self, monkeypatch):
+        window = Window(qk(0), 2)
+        table = intermediate_series_table(ModuleParams(F(1, 2), F(2), F(3), qk(0)), window)
+        seen = []
+        check = Window.__contains__
+        monkeypatch.setattr(Window, "__contains__", lambda w, q: seen.append(q) or check(w, q))
+        assert ActionTable(window, table.entries) == table
+        assert sorted(seen) == window.indices()
 
 
 def test_table_keys_cover_both_generators():
