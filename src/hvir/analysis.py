@@ -7,9 +7,9 @@ decomposes restrictions into cosets, checks shift intertwiners, recovers
 module parameters from abstract action tables, and aligns rescaled
 bases.  Table builders walk (source, target) pairs of window positions
 and build the keys and the d-coefficient at source 0 of each of the
-4B+1 steps once.  Recovery builds one scale chain per candidate slope
-and checks every entry once against its generator's base; intertwiner
-checks compare each step once.
+4B+1 steps once.  Recovery sorts the entries in one pass and compares
+each once, as an edge of a scale chain; intertwiner checks compare each
+step once.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
@@ -431,15 +431,14 @@ class ActionTable:
         if not isinstance(window, Window):
             raise TypeError("expected a Window")
         data = {}
-        # a table has at most 2B+1 distinct indices: each is checked once
-        inside = _Memo(window.__contains__)
+        inside = window.__contains__
         for (key, src), (tgt, coeff) in dict(entries).items():
             if not isinstance(key, BasisKey) or key.is_central:
                 raise ValueError("table generators must be d(...) or I(...) symbols")
             src = as_fraction(src)
             tgt = as_fraction(tgt)
             coeff = as_fraction(coeff)
-            if not (inside[src] and inside[tgt]):
+            if not (inside(src) and inside(tgt)):
                 raise ValueError(
                     "table entry %s: %s -> %s leaves the window" % (key, src, tgt)
                 )
@@ -568,11 +567,13 @@ def _rational_sqrt(x):
 def _chain_scales(window, edges, base):
     """Propagate scale factors along ratio edges from the base index.
 
-    ``edges`` maps (source, target) to the ratio c(source)/c(target).
-    Raises when the present edges do not connect the whole window.
+    ``edges`` lists (source, target, ratio) triples, ratio being
+    c(source)/c(target); every edge is compared, so two entries on one
+    pair of indices must agree.  Raises when the present edges do not
+    connect the whole window.
     """
     adjacency = {}
-    for (src, tgt), ratio in edges.items():
+    for src, tgt, ratio in edges:
         adjacency.setdefault(src, []).append((tgt, ratio))
         adjacency.setdefault(tgt, []).append((src, 1 / ratio))
     scales = {base: Fraction(1)}
@@ -595,83 +596,72 @@ def _chain_scales(window, edges, base):
     return scales
 
 
-def _expected(key, src, bases, f):
-    """Nonzero unscaled coefficient of a table entry; ``bases`` maps each
-    d(g) to its coefficient at source 0, and at q it is that plus q."""
-    expected = bases[key] + src if key.kind == "d" else f
-    if expected == 0:
-        raise NotIntermediateSeriesError(
-            "entry %s at %s is nonzero where the action must vanish" % (key, src)
-        )
-    return expected
-
-
-def _d_bases(alpha, beta):
-    """Each d(g)'s coefficient at source 0, computed when first asked for."""
-    return _Memo(lambda key: d_coefficient(alpha, beta, 0, key.index))
-
-
-def _verify_table(entries, alpha, beta, f, scales):
-    bases = _d_bases(alpha, beta)
-    for (key, src), (tgt, coeff) in entries.items():
-        expected = _expected(key, src, bases, f) * scales[src] / scales[tgt]
-        if coeff != expected:
+def _d_edges(d_steps, alpha, beta):
+    """The (source, target, ratio) edge of each d step for the slope beta:
+    its coefficient over the unscaled one."""
+    edges = []
+    for key, src, tgt, coeff in d_steps:
+        expected = d_coefficient(alpha, beta, src, key.index)
+        if expected == 0:
             raise NotIntermediateSeriesError(
-                "entry %s at %s has coefficient %s, expected %s"
-                % (key, src, coeff, expected)
+                "entry %s at %s is nonzero where the action must vanish" % (key, src)
             )
+        edges.append((src, tgt, coeff / expected))
+    return edges
 
 
 def recover_params(table):
     """Read (alpha, beta, f) and per-index scale factors off an abstract
     action table with one-dimensional weight spaces.
 
-    alpha comes from any d(0) eigenvalue minus its index and f from the
-    I(0) eigenvalue.  When f is nonzero and the I-generator entries
-    connect the window, they fix the scale chain and the first d-entry
-    fixes beta.  Otherwise beta is a root of the loop product of two
-    opposite d-steps, and each candidate root builds one scale chain from
-    the I-entries and the non-vanishing d-entries.  Either way every entry
-    is then checked once against the module formulas.  Inconsistent
-    tables raise NotIntermediateSeriesError, tables too sparse to
-    determine the data raise AmbiguousTableError.
+    One pass checks the grading and sorts the entries: alpha comes from
+    any d(0) eigenvalue minus its index, f from the I(0) eigenvalue, and
+    every other entry is an edge of the scale chain whose ratio is its
+    coefficient over the unscaled one.  When f is nonzero and the I edges
+    connect the window, they fix the scales, the first d step in printed
+    order fixes beta, and each d edge is compared with the scales.
+    Otherwise beta is a root of the loop product of two opposite d steps,
+    and each candidate root builds one chain over the I and d edges.
+    Either way the chain compares each entry once, also an I and a d
+    entry on one pair of indices.  Inconsistent tables raise
+    NotIntermediateSeriesError, tables too sparse to determine the data
+    raise AmbiguousTableError.
     """
     window = table.window
-    entries = table.entries
-    for (key, src), (tgt, _) in entries.items():
+    entries = table._entries
+    alphas, fs, i_steps, d_items = set(), set(), [], []
+    for item in entries.items():
+        (key, src), (tgt, coeff) = item
         if tgt != src + key.index:
             raise NotIntermediateSeriesError(
                 "entry %s at %s lands at %s; the grading requires %s"
                 % (key, src, tgt, src + key.index)
             )
-
-    d_zero = {src: coeff for (key, src), (_, coeff) in entries.items()
-              if key.kind == "d" and key.index == 0}
-    if not d_zero:
+        if key.kind == "d":
+            if key.index:
+                d_items.append(item)
+            else:
+                alphas.add(coeff - src)
+        elif key.index:
+            i_steps.append((src, tgt, coeff))
+        else:
+            fs.add(coeff)
+    if not alphas:
         raise AmbiguousTableError("no d(0) entries; weight labels cannot be anchored")
-    alphas = {coeff - src for src, coeff in d_zero.items()}
     if len(alphas) != 1:
         raise NotIntermediateSeriesError("d(0) eigenvalues disagree about alpha")
     alpha = alphas.pop()
-
-    i_zero = {src: coeff for (key, src), (_, coeff) in entries.items()
-              if key.kind == "I" and key.index == 0}
-    fs = set(i_zero.values())
     if len(fs) > 1:
         raise NotIntermediateSeriesError("I(0) eigenvalues disagree")
     f = fs.pop() if fs else Fraction(0)
-    if f == 0 and any(key.kind == "I" for (key, _) in entries):
+    if f == 0 and i_steps:
         raise NotIntermediateSeriesError(
             "I entries present although the I(0) eigenvalue is absent"
         )
 
     base = min(window.indices())
-    # I entries exist only when f is nonzero
-    i_edges = {(src, tgt): coeff / f for (key, src), (tgt, coeff) in entries.items()
-               if key.kind == "I" and key.index != 0}
-    d_steps = [row[1:] for row in _printed_order(
-        item for item in entries.items() if item[0][0].kind == "d" and item[0][0].index != 0
-    )]
+    i_edges = [(src, tgt, coeff / f) for src, tgt, coeff in i_steps]
+    d_steps = [row[1:] for row in _printed_order(d_items)]
 
     if f:
         try:
@@ -681,10 +671,14 @@ def recover_params(table):
         if scales is not None and d_steps:
             key, src, tgt, coeff = d_steps[0]
             beta = (coeff * scales[tgt] / scales[src] - alpha - src) / key.index
-            _verify_table(entries, alpha, beta, f, scales)
+            for src, tgt, ratio in _d_edges(d_steps, alpha, beta):
+                if scales[src] / ratio != scales[tgt]:
+                    raise NotIntermediateSeriesError(
+                        "inconsistent scale chain at index %s" % tgt
+                    )
             return ModuleParams(alpha, beta, f, window.group), scales
 
-    # beta from a scale-free loop product of two opposite d-steps; the
+    # beta from a scale-free loop product of two opposite d steps; the
     # grading check makes the reverse step land back on the source
     for key, q, tgt, coeff in d_steps:
         back = entries.get((d(-key.index), tgt))
@@ -700,13 +694,8 @@ def recover_params(table):
             "loop products admit no rational coefficient slope"
         )
     for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
-        bases = _d_bases(alpha, beta)
         try:
-            edges = dict(i_edges)
-            for key, src, tgt, coeff in d_steps:
-                edges[(src, tgt)] = coeff / _expected(key, src, bases, f)
-            scales = _chain_scales(window, edges, base)
-            _verify_table(entries, alpha, beta, f, scales)
+            scales = _chain_scales(window, i_edges + _d_edges(d_steps, alpha, beta), base)
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
             error = exc
             continue

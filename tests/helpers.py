@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random rationals and module parameters,
 the Fraction-dict oracles for weight vectors, the module action and
 exact spans, the exact-elimination oracle for the window engine, the
-one-pass-per-entry oracles for the action-table path, the per-character
+one-pass-per-entry oracles for the action-table path with a table
+that is both inconsistent and disconnected, the per-character
 scanner, the accumulator-per-operation oracle for algebra elements with
 its own Fraction basis bracket, the entry-dict proportionality test, the
 valuation-profile oracle for the subgroup lattice, and the dataclass
@@ -484,7 +485,7 @@ def _reference_sqrt(x):
 
 def _reference_chain_scales(window, edges, base):
     adjacency = {}
-    for (src, tgt), ratio in edges.items():
+    for src, tgt, ratio in edges:
         adjacency.setdefault(src, []).append((tgt, ratio))
         adjacency.setdefault(tgt, []).append((src, 1 / ratio))
     scales = {base: Fraction(1)}
@@ -516,14 +517,15 @@ def _reference_verify_table(table, alpha, beta, f, scales):
 
 
 def _reference_try_chain_and_verify(table, alpha, beta, f, i_edges, base):
-    edges = dict(i_edges)
+    # every entry is its own edge: an I and a d entry on one pair both count
+    edges = list(i_edges)
     for (key, src), (tgt, coeff) in table.entries.items():
         if key.kind != "d" or key.index == 0:
             continue
         expected = d_coefficient(alpha, beta, src, key.index)
         if expected == 0:
             raise NotIntermediateSeriesError("entry where the action must vanish")
-        edges[(src, tgt)] = coeff / expected
+        edges.append((src, tgt, coeff / expected))
     scales = _reference_chain_scales(table.window, edges, base)
     _reference_verify_table(table, alpha, beta, f, scales)
     return scales
@@ -554,11 +556,11 @@ def reference_recover_params(table):
     if f == 0 and any(key.kind == "I" for (key, _) in entries):
         raise NotIntermediateSeriesError("I entries without an I(0) eigenvalue")
     base = min(window.indices())
-    i_edges = {}
+    i_edges = []
     if f:
         for (key, src), (tgt, coeff) in entries.items():
             if key.kind == "I" and key.index != 0:
-                i_edges[(src, tgt)] = coeff / f
+                i_edges.append((src, tgt, coeff / f))
     ordered = sorted(entries.items(), key=lambda item: (str(item[0][0]), item[0][1]))
     candidates = []
     if f:
@@ -599,6 +601,21 @@ def reference_recover_params(table):
             continue
         return ModuleParams(alpha, beta, f, window.group), scales
     raise last_error
+
+
+def stray_i_entry_table():
+    """A table that is both inconsistent and disconnected: V(1/5, 2, 3)
+    on Z with bound 1 cut to its d(0) and I(0) entries, d(1) at -1 and
+    d(-1) at 0, plus I(1) at -1 with coefficient 7 where the module has 3.
+    The wrong I entry sits on the pair of the d(1) entry, and nothing
+    reaches index 1."""
+    window = Window(qk(0), 1)
+    params = ModuleParams(Fraction(1, 5), Fraction(2), Fraction(3), qk(0))
+    entries = reference_series_table(params, window).entries
+    kept = {(key, src): value for (key, src), value in entries.items()
+            if key.index == 0 or (key, src) in ((d(1), -1), (d(-1), 0))}
+    kept[(I(1), Fraction(-1))] = (Fraction(0), Fraction(7))
+    return ActionTable(window, kept)
 
 
 # storage order of the oracle: central symbols, then d(g) and I(g) by index

@@ -49,6 +49,7 @@ from helpers import (
     reference_closure,
     reference_scan,
     rng,
+    stray_i_entry_table,
 )
 
 F = Fraction
@@ -504,6 +505,42 @@ class TestRecover:
         }
         with pytest.raises(AmbiguousTableError):
             recover_params(ActionTable(w, entries))
+
+    def test_wrong_i_entry_under_a_d_entry_is_inconsistent(self):
+        # the I(1) entry at -1 and the d(1) entry at -1 are both chain
+        # edges, so their disagreement is found though index 1 is
+        # unreachable
+        with pytest.raises(NotIntermediateSeriesError):
+            recover_params(stray_i_entry_table())
+
+    def test_wrong_i_entry_on_a_disconnected_i_chain(self):
+        # the I entries alone do not connect the window, so the loop path
+        # compares I(1) at 0 with the d(1) entry on the same pair
+        p = ModuleParams(F(1, 5), F(2), F(3), Z)
+        w = window_z(3)
+        entries = {
+            (key, src): value
+            for (key, src), value in intermediate_series_table(p, w).entries.items()
+            if key.kind == "d" or key.index == 0 or (key, src) == (I(1), 0)
+        }
+        assert entries[(I(1), F(0))] == (F(1), F(3))
+        entries[(I(1), F(0))] = (F(1), F(4))
+        with pytest.raises(NotIntermediateSeriesError):
+            recover_params(ActionTable(w, entries))
+
+    def test_raw_alpha_in_the_group(self):
+        # d(0) reads alpha = 2, which ModuleParams normalizes to 0; the
+        # entries are checked against the raw offset they are labelled by
+        w = window_z(3)
+        entries = {
+            (key, src): (tgt, coeff + 2 if key.kind == "d" else coeff)
+            for (key, src), (tgt, coeff) in intermediate_series_table(
+                ModuleParams(F(0), F(2), F(3), Z), w
+            ).entries.items()
+        }
+        out, scales = recover_params(ActionTable(w, entries))
+        assert str(out) == "0,2,3@cyclic:1"
+        assert scales == {q: F(1) for q in w.indices()}
 
     def test_random_round_trips_with_scrambles(self):
         r = rng(303)
