@@ -25,6 +25,7 @@ row echelon spans of arbitrary vectors, with integer-form
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from ._frozen import Frozen, set_field
@@ -46,6 +47,7 @@ from .intermediate import (
     VERDICT_TRIVIAL_SUB,
     WeightVector,
     _require_qk,
+    _require_same_group,
     act,
     basis_vector,
     d_coefficient,
@@ -399,8 +401,7 @@ def intertwiner_check(p1, p2, shift, window):
     fewer than two such indices exist, since no off-diagonal comparison
     can then attest anything.
     """
-    if p1.group != p2.group:
-        raise GroupMismatchError("cannot compare modules over different groups")
+    _require_same_group(p1, p2)
     shift = as_fraction(shift)
     if not contains(p1.group, shift):
         raise SubalgebraError("shift %s lies outside the group %s" % (shift, p1.group))
@@ -471,24 +472,12 @@ class ActionTable:
         return "ActionTable(%s, %d entries)" % (self.window, len(self._entries))
 
 
-class _Memo(dict):
-    """Cache that fills a missing key with ``make(key)``, if that returns."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _printed_order(items):
     """``(name, generator, source, target, coefficient)`` rows of table
     items, sorted by the printed generator ``name``, then the source;
-    each distinct generator is printed once."""
-    names = _Memo(str)
-    rows = [(names[key], key, src, tgt, coeff) for (key, src), (tgt, coeff) in items]
+    a per-call ``functools.cache`` prints each distinct generator once."""
+    names = cache(str)
+    rows = [(names(key), key, src, tgt, coeff) for (key, src), (tgt, coeff) in items]
     return sorted(rows, key=lambda row: (row[0], row[2]))
 
 
@@ -564,8 +553,9 @@ def _rational_sqrt(x):
     return None
 
 
-def _chain_scales(window, edges, base):
-    """Propagate scale factors along ratio edges from the base index.
+def _chain_scales(window, edges):
+    """Propagate scale factors along ratio edges from the window's first
+    index, whose scale is 1.
 
     ``edges`` lists (source, target, ratio) triples, ratio being
     c(source)/c(target); every edge is compared, so two entries on one
@@ -576,8 +566,9 @@ def _chain_scales(window, edges, base):
     for src, tgt, ratio in edges:
         adjacency.setdefault(src, []).append((tgt, ratio))
         adjacency.setdefault(tgt, []).append((src, 1 / ratio))
-    scales = {base: Fraction(1)}
-    stack = [base]
+    indices = window.indices()
+    scales = {indices[0]: Fraction(1)}
+    stack = [indices[0]]
     while stack:
         src = stack.pop()
         for tgt, ratio in adjacency.get(src, ()):
@@ -588,7 +579,7 @@ def _chain_scales(window, edges, base):
                 stack.append(tgt)
             elif scales[tgt] != value:
                 raise NotIntermediateSeriesError("inconsistent scale chain at index %s" % tgt)
-    missing = [q for q in window.indices() if q not in scales]
+    missing = [q for q in indices if q not in scales]
     if missing:
         raise AmbiguousTableError(
             "entries do not connect the window; index %s is unreachable" % missing[0]
@@ -622,6 +613,9 @@ def recover_params(table):
     order fixes beta, and each d edge is compared with the scales.
     Otherwise beta is a root of the loop product of two opposite d steps,
     and each candidate root builds one chain over the I and d edges.
+    Both slope solves take the beta-free part of a coefficient from
+    ``d_coefficient`` at beta = 0, so the action is written only there;
+    the chain starts at the window's first index, with scale 1.
     Either way the chain compares each entry once, also an I and a d
     entry on one pair of indices.  Inconsistent tables raise
     NotIntermediateSeriesError, tables too sparse to determine the data
@@ -659,18 +653,18 @@ def recover_params(table):
             "I entries present although the I(0) eigenvalue is absent"
         )
 
-    base = min(window.indices())
     i_edges = [(src, tgt, coeff / f) for src, tgt, coeff in i_steps]
     d_steps = [row[1:] for row in _printed_order(d_items)]
 
     if f:
         try:
-            scales = _chain_scales(window, i_edges, base)
+            scales = _chain_scales(window, i_edges)
         except AmbiguousTableError:
             scales = None
         if scales is not None and d_steps:
             key, src, tgt, coeff = d_steps[0]
-            beta = (coeff * scales[tgt] / scales[src] - alpha - src) / key.index
+            unscaled = coeff * scales[tgt] / scales[src]
+            beta = (unscaled - d_coefficient(alpha, 0, src, key.index)) / key.index
             for src, tgt, ratio in _d_edges(d_steps, alpha, beta):
                 if scales[src] / ratio != scales[tgt]:
                     raise NotIntermediateSeriesError(
@@ -686,8 +680,11 @@ def recover_params(table):
             break
     else:
         raise AmbiguousTableError("no d-generator data determines the coefficient slope")
-    p, a_q = key.index, alpha + q
-    curvature = (coeff * back[1] - a_q * a_q - p * a_q) / (p * p)
+    # the loop product is (a + p*beta)(a + p - p*beta) with a = alpha + q,
+    # its beta-free part the product of the two coefficients at beta = 0
+    p = key.index
+    loop = d_coefficient(alpha, 0, q, p) * d_coefficient(alpha, 0, q + p, -p)
+    curvature = (coeff * back[1] - loop) / (p * p)
     disc = _rational_sqrt(1 - 4 * curvature)
     if disc is None:
         raise NotIntermediateSeriesError(
@@ -695,7 +692,7 @@ def recover_params(table):
         )
     for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
         try:
-            scales = _chain_scales(window, i_edges + _d_edges(d_steps, alpha, beta), base)
+            scales = _chain_scales(window, i_edges + _d_edges(d_steps, alpha, beta))
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
             error = exc
             continue

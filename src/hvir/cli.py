@@ -20,7 +20,6 @@ import random
 import re
 import sys
 from bisect import bisect_right
-from itertools import combinations
 from math import comb
 
 from .algebra import (
@@ -123,14 +122,11 @@ def _cmd_jacobi(args):
             "jacobi check of %d triples exceeds the cap of %d" % (count, MAX_JACOBI_TRIPLES)
         )
     keys = _basis_keys(window)
-    triples = combinations(keys, 3)
-    if samples is not None:
-        triples = (
-            tuple(keys[i] for i in _unrank_triple(rank, len(keys)))
-            for rank in _sample_ranks(len(keys), samples, seed)
-        )
+    # a sweep visits every rank in the order of itertools.combinations
+    ranks = range(count) if samples is None else _sample_ranks(len(keys), samples, seed)
     checked = 0
-    for x, y, z in triples:
+    for rank in ranks:
+        x, y, z = (keys[i] for i in _unrank_triple(rank, len(keys)))
         value = jacobiator(x, y, z)
         if not value.is_zero():
             print("jacobi FAILED on (%s, %s, %s): %s" % (x, y, z, value))

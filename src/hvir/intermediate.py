@@ -368,8 +368,7 @@ def iso_check(p1, p2):
     and the shift composed with the rescaling v(q) -> (alpha + q) u(q)
     carries the beta-0 module onto the beta-1 module.
     """
-    if p1.group != p2.group:
-        raise GroupMismatchError("cannot compare modules over different groups")
+    _require_same_group(p1, p2)
     if p1.f != p2.f or not contains(p1.group, p1.alpha - p2.alpha):
         return False, None
     if p1.beta == p2.beta or (p1.f == 0 and {p1.beta, p2.beta} <= {0, 1}):
@@ -386,6 +385,12 @@ def pullback_params(params, m):
     _require_qk(params, m, "pullback")
     M = Fraction(factorial(m))
     return ModuleParams(M * params.alpha, params.beta, M * params.f, qk(0))
+
+
+def _require_same_group(p1, p2):
+    """Modules are compared only over one index group."""
+    if p1.group != p2.group:
+        raise GroupMismatchError("cannot compare modules over different groups")
 
 
 def _require_qk(params, m, what):

@@ -19,10 +19,11 @@ input, the CLI's integer options included, is a run of at most
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from .algebra import CD, CDI, CI, AlgebraElement, I, d
-from .analysis import ActionTable, Window, _Memo, _printed_order
+from .analysis import ActionTable, Window, _printed_order
 from .errors import ParseError
 from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
@@ -269,8 +270,9 @@ def parse_table(text):
 
     The first non-blank line is ``window <groupspec> <bound>``; every
     following non-blank line is ``<generator> <source> <target>
-    <coefficient>`` with whitespace-separated fields.  Each distinct
-    generator and rational field is parsed once per call.
+    <coefficient>`` with whitespace-separated fields.  Per-call
+    ``functools.cache`` readers parse each distinct generator and rational
+    field once.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -285,16 +287,16 @@ def parse_table(text):
         raise ParseError("table windows require a cyclic group spec")
     window = Window(group, bound)
     entries = {}
-    keys = _Memo(lambda text: _field(text, _parse_atom, "generator"))
-    rationals = _Memo(parse_rational)
+    keys = cache(lambda text: _field(text, _parse_atom, "generator"))
+    rationals = cache(parse_rational)
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
             raise ParseError("table line needs 4 fields, got %r" % line)
-        key = keys[fields[0]]
-        src = rationals[fields[1]]
-        tgt = rationals[fields[2]]
-        coeff = rationals[fields[3]]
+        key = keys(fields[0])
+        src = rationals(fields[1])
+        tgt = rationals(fields[2])
+        coeff = rationals(fields[3])
         if (key, src) in entries:
             raise ParseError("duplicate table entry for %s at %s" % (key, src))
         entries[(key, src)] = (tgt, coeff)

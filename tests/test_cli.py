@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from fractions import Fraction
 
-from hvir.cli import _sample_ranks, _unrank_triple, main
+import hvir.cli
+from hvir import Window, qk
+from hvir.cli import _basis_keys, _sample_ranks, _unrank_triple, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -364,6 +366,35 @@ class TestJacobiSampling:
         expected = random.Random(seed).sample(pool, min(samples, len(pool)))
         ranks = _sample_ranks(size, samples, seed)
         assert [tuple(_unrank_triple(r, size)) for r in ranks] == expected
+
+    @staticmethod
+    def visited_triples(monkeypatch, *argv):
+        """The triples ``hvir jacobi`` checks, in the order it checks them."""
+        visited = []
+        jacobiator = hvir.cli.jacobiator
+
+        def record(x, y, z):
+            visited.append((x, y, z))
+            return jacobiator(x, y, z)
+
+        monkeypatch.setattr(hvir.cli, "jacobiator", record)
+        assert main(["jacobi", *argv]) == 0
+        return visited
+
+    def test_sweep_visits_combinations_in_order(self, capsys, monkeypatch):
+        keys = _basis_keys(Window(qk(1), 1))
+        visited = self.visited_triples(monkeypatch, "--window", "1:1")
+        assert len(visited) == 84
+        assert visited == list(combinations(keys, 3))
+
+    def test_samples_visit_the_unranked_sample(self, capsys, monkeypatch):
+        keys = _basis_keys(Window(qk(3), 4))
+        visited = self.visited_triples(
+            monkeypatch, "--window", "3:4", "--samples", "50", "--seed", "7")
+        expected = [tuple(keys[i] for i in _unrank_triple(rank, len(keys)))
+                    for rank in _sample_ranks(len(keys), 50, 7)]
+        assert len(visited) == 50
+        assert visited == expected
 
     def test_huge_window_builds_no_pool(self, capsys):
         began = time.perf_counter()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hvir import (
+    FULL_Q,
     GroupMismatchError,
     ModuleParams,
     ParseError,
@@ -13,6 +14,8 @@ from hvir import (
     basis_vector,
     closure,
     cyclic,
+    intertwiner_check,
+    iso_check,
     parse_element,
     parse_table,
     qk,
@@ -66,6 +69,23 @@ class TestAnalysis:
         assert message(ValueError, align_extension, *self._candidate(params)) == (
             "candidate violates the I-action relation from 0 to 2"
         )
+
+
+class TestSameGroup:
+    # the one check both module-pair comparisons share
+    PAIR = (ModuleParams(0, 1, 0, cyclic(1)), ModuleParams(0, 1, 0, FULL_Q))
+    TEXT = "cannot compare modules over different groups"
+
+    def test_iso_check(self):
+        assert message(GroupMismatchError, iso_check, *self.PAIR) == self.TEXT
+
+    def test_intertwiner_check(self):
+        window = Window(cyclic(1), 3)
+        assert message(GroupMismatchError, intertwiner_check, *self.PAIR, 0, window) == self.TEXT
+
+    def test_cli(self, capsys):
+        assert main(["iso", "0,1,0@Q", "0,1,0@cyclic:1"]) == 1
+        assert capsys.readouterr().err == "error[group-mismatch]: %s\n" % self.TEXT
 
 
 class TestWeightVector:

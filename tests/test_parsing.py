@@ -11,6 +11,7 @@ import hvir.parsing as parsing
 
 from hvir import (
     AlgebraElement,
+    BasisKey,
     CD,
     CDI,
     CI,
@@ -239,6 +240,30 @@ class TestTableFiles:
         text = "\nwindow cyclic:1 2\n\nd(1) 0 1 2\n\n"
         table = parse_table(text)
         assert len(table) == 1
+
+    def test_each_distinct_field_is_parsed_once_per_call(self, monkeypatch):
+        rationals, generators = [], []
+        parse_rational, parse_atom = parsing.parse_rational, parsing._parse_atom
+        monkeypatch.setattr(parsing, "parse_rational",
+                            lambda text: rationals.append(text) or parse_rational(text))
+        monkeypatch.setattr(parsing, "_parse_atom",
+                            lambda s: generators.append(s.text) or parse_atom(s))
+        text = "window cyclic:1 1\nd(0) -1 -1 1\nd(0) 0 0 1\nd(0) 1 1 1\nd(1) 0 1 1\n"
+        for calls in (1, 2):
+            assert len(parse_table(text)) == 4
+            assert rationals == ["-1", "1", "0"] * calls
+            assert generators == ["d(0)", "d(1)"] * calls
+
+    def test_each_distinct_generator_is_printed_once_per_call(self, monkeypatch):
+        table = intermediate_series_table(ModuleParams(F(1, 5), 2, 3, qk(0)), Window(qk(0), 1))
+        printed = []
+        to_text = BasisKey.__str__
+        monkeypatch.setattr(BasisKey, "__str__", lambda key: printed.append(key) or to_text(key))
+        for calls in (1, 2):
+            format_table(table)
+            # d(g) and I(g) for each step g between the three indices
+            assert len(printed) == 2 * 5 * calls
+            assert len(set(printed)) == 2 * 5
 
 
 def scan_outcome(parse, text):
