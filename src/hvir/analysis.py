@@ -5,11 +5,12 @@ group.  Within a window the engine computes exact submodule closures as
 the basis lines reachable from the seeds, scans for reducibility,
 decomposes restrictions into cosets, checks shift intertwiners, recovers
 module parameters from abstract action tables, and aligns rescaled
-bases.  Table builders walk (source, target) pairs of window positions
-and build the keys and the d-coefficient at source 0 of each of the
-4B+1 steps once.  Recovery sorts the entries in one pass and compares
-each once, as an edge of a scale chain; intertwiner checks compare each
-step once.
+bases.  Action tables hold their entries by window position, the int n
+of the index n*step, with ``Fraction`` indices only at the edges.  Table
+builders walk (source, target) pairs of window positions and build the
+keys and the d-coefficient at source 0 of each of the 4B+1 steps once.
+Recovery sorts the entries in one pass and compares each once, as an
+edge of a scale chain; intertwiner checks compare each step once.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
@@ -49,7 +50,6 @@ from .intermediate import (
     _require_qk,
     _require_same_group,
     act,
-    basis_vector,
     d_coefficient,
 )
 
@@ -107,6 +107,13 @@ class Window(Frozen):
     def __contains__(self, q):
         n = _multiple(as_fraction(q), self.step)
         return n is not None and abs(n) <= self.bound
+
+    def _position(self, q):
+        """The position q/step: the int n with q == n*step, and otherwise
+        the non-integer Fraction q/step, so equal indices share one."""
+        q = as_fraction(q)
+        n = _multiple(q, self.step)
+        return q / self.step if n is None else n
 
     def steps(self):
         """Every generator index that can connect two window indices."""
@@ -423,31 +430,27 @@ class ActionTable:
     coefficient)``; at most one target per pair, matching modules whose
     weight spaces are one-dimensional.  Zero coefficients are omitted.
 
-    ``ActionTable(window, entries)`` checks every entry; the internal
-    constructor ``_trusted`` checks nothing and is for this module's
-    table builders alone, whose entries are valid by construction.
+    Entries are held by window position: the source n*step and the
+    target m*step are the integers n and m, so the table path hashes and
+    compares ints.  ``Fraction`` indices appear only at the edges, in the
+    input to ``ActionTable(window, entries)`` and in ``entries``.
+
+    ``ActionTable(window, entries)`` checks every entry with
+    :func:`_checked_entries`; the internal constructor ``_trusted`` takes
+    position-keyed entries and checks nothing, and is for the table
+    builders, whose entries are valid by construction, and for
+    ``parse_table``, which checks its entries with the same function.
     """
 
     def __init__(self, window, entries):
         if not isinstance(window, Window):
             raise TypeError("expected a Window")
-        data = {}
-        inside = window.__contains__
-        for (key, src), (tgt, coeff) in dict(entries).items():
-            if not isinstance(key, BasisKey) or key.is_central:
-                raise ValueError("table generators must be d(...) or I(...) symbols")
-            src = as_fraction(src)
-            tgt = as_fraction(tgt)
-            coeff = as_fraction(coeff)
-            if not (inside(src) and inside(tgt)):
-                raise ValueError(
-                    "table entry %s: %s -> %s leaves the window" % (key, src, tgt)
-                )
-            if coeff == 0:
-                continue
-            data[(key, src)] = (tgt, coeff)
+        at = window._position
         self.window = window
-        self._entries = data
+        self._entries = _checked_entries(window, (
+            ((key, at(src)), (at(tgt), as_fraction(coeff)))
+            for (key, src), (tgt, coeff) in dict(entries).items()
+        ))
 
     @classmethod
     def _trusted(cls, window, entries):
@@ -458,7 +461,9 @@ class ActionTable:
 
     @property
     def entries(self):
-        return dict(self._entries)
+        indices, bound = self.window.indices(), self.window.bound
+        return {(key, indices[n + bound]): (indices[m + bound], coeff)
+                for (key, n), (m, coeff) in self._entries.items()}
 
     def __len__(self):
         return len(self._entries)
@@ -472,12 +477,33 @@ class ActionTable:
         return "ActionTable(%s, %d entries)" % (self.window, len(self._entries))
 
 
+def _checked_entries(window, items):
+    """The one check of table entries, as ``((key, n), (m, coeff))``
+    items in window positions: the generator is a d or I symbol, source
+    and target lie in the window, and zero coefficients are dropped.
+    Returns the position-keyed entries."""
+    span = range(-window.bound, window.bound + 1)
+    data = {}
+    for (key, n), (m, coeff) in items:
+        if not isinstance(key, BasisKey) or key.is_central:
+            raise ValueError("table generators must be d(...) or I(...) symbols")
+        # a position off the step's multiples is a non-integer Fraction,
+        # which no int of the span equals
+        if n not in span or m not in span:
+            raise ValueError("table entry %s: %s -> %s leaves the window"
+                             % (key, n * window.step, m * window.step))
+        if coeff:
+            data[(key, n)] = (m, coeff)
+    return data
+
+
 def _printed_order(items):
     """``(name, generator, source, target, coefficient)`` rows of table
-    items, sorted by the printed generator ``name``, then the source;
-    a per-call ``functools.cache`` prints each distinct generator once."""
+    items, sorted by the printed generator ``name``, then the source
+    position; a per-call ``functools.cache`` prints each distinct
+    generator once."""
     names = cache(str)
-    rows = [(names(key), key, src, tgt, coeff) for (key, src), (tgt, coeff) in items]
+    rows = [(names(key), key, n, m, coeff) for (key, n), (m, coeff) in items]
     return sorted(rows, key=lambda row: (row[0], row[2]))
 
 
@@ -501,17 +527,19 @@ def intermediate_series_table(params, window, scales=None):
             raise ValueError("scale factor missing for index %s" % missing[0])
         c = [c[q] for q in indices]
     alpha, beta, f = params.alpha, params.beta, params.f
-    # steps[2B - i + j] is the step from position i to position j
+    bound = window.bound
+    positions = range(-bound, bound + 1)
+    # steps[2B + m - n] is the step from position n to position m
     steps = [(d(g), I(g), d_coefficient(alpha, beta, 0, g)) for g in window.steps()]
     entries = {}
-    for i, src in enumerate(indices):
-        for j, (tgt, (dk, ik, base)) in enumerate(zip(indices, steps[2 * window.bound - i:])):
-            ratio = None if c is None else c[i] / c[j]
+    for n, src in zip(positions, indices):
+        for m, (dk, ik, base) in zip(positions, steps[bound - n:]):
+            ratio = None if c is None else c[n + bound] / c[m + bound]
             coeff = base + src
             if coeff:
-                entries[(dk, src)] = (tgt, coeff if ratio is None else coeff * ratio)
+                entries[(dk, n)] = (m, coeff if ratio is None else coeff * ratio)
             if f:
-                entries[(ik, src)] = (tgt, f if ratio is None else f * ratio)
+                entries[(ik, n)] = (m, f if ratio is None else f * ratio)
     return ActionTable._trusted(window, entries)
 
 
@@ -519,27 +547,36 @@ def transported_table(params, m, bound):
     """Integer-indexed action table of a module over {n/m!} seen through
     the centerless rescaling of order m.
 
-    The basis vector relabelled n is the module's vector at n/m!; each
-    entry applies the rescaled generator exactly and records the single
-    resulting coefficient.  The 2(4B+1) images and the 2B+1 rescaled
-    indices are computed once and looked up by window position.
+    The basis vector relabelled n is the module's vector at n/m!.  Each
+    of the 2(4B+1) rescaled generators d(g), I(g) is applied exactly, once,
+    to the sum of the window's basis vectors: its image at (n + g)/m!
+    holds the coefficient from source n alone, read off the image's
+    integer form.
     """
     _require_qk(params, m, "transport")
     window_z = Window(INTEGERS, bound)
     phi = RescalingMap(m, CENTERLESS)
-    M = phi.scale
-    # images[2B - i + j] acts from position i to position j
-    images = [[(key, apply_phi(phi, key)) for key in (d(n), I(n))] for n in window_z.steps()]
-    indices = window_z.indices()
-    rescaled = [q / M for q in indices]
+    M = phi.scale.numerator
+    positions = range(-bound, bound + 1)
+    vector = WeightVector(params, {Fraction(n, M): 1 for n in positions})
+    # images[2B + t - n] acts from position n to position t: for d(g) and
+    # I(g), the key, its numerators {source: c} and their denominator
+    images = []
+    for g in range(-2 * bound, 2 * bound + 1):
+        pair = []
+        for key in (d(g), I(g)):
+            image = act(params, apply_phi(phi, key), vector)
+            # the image's index k/L is the target t/M, and L divides M
+            scale = M // image._L
+            pair.append((key, {k * scale - g: c for k, c in image._num.items()}, image._D))
+        images.append(pair)
     entries = {}
-    for i, src in enumerate(indices):
-        vector = basis_vector(params, rescaled[i])
-        for tgt, at, pair in zip(indices, rescaled, images[2 * bound - i:]):
-            for key, image in pair:
-                coeff = act(params, image, vector).coefficient(at)
-                if coeff:
-                    entries[(key, src)] = (tgt, coeff)
+    for n in positions:
+        for t, pair in zip(positions, images[bound - n:]):
+            for key, coeffs, D in pair:
+                c = coeffs.get(n)
+                if c:
+                    entries[(key, n)] = (t, Fraction(c, D))
     return ActionTable._trusted(window_z, entries)
 
 
@@ -555,49 +592,60 @@ def _rational_sqrt(x):
 
 def _chain_scales(window, edges):
     """Propagate scale factors along ratio edges from the window's first
-    index, whose scale is 1.
+    position, whose scale is 1; returns the scales as a list indexed by
+    position + bound.
 
-    ``edges`` lists (source, target, ratio) triples, ratio being
-    c(source)/c(target); every edge is compared, so two entries on one
-    pair of indices must agree.  Raises when the present edges do not
-    connect the whole window.
+    ``edges`` lists (source, target, ratio) triples of positions, ratio
+    being c(source)/c(target); every edge is compared, so two entries on
+    one pair of positions must agree.  Raises when the present edges do
+    not connect the whole window.
     """
-    adjacency = {}
-    for src, tgt, ratio in edges:
-        adjacency.setdefault(src, []).append((tgt, ratio))
-        adjacency.setdefault(tgt, []).append((src, 1 / ratio))
-    indices = window.indices()
-    scales = {indices[0]: Fraction(1)}
-    stack = [indices[0]]
+    bound = window.bound
+    adjacency = [[] for _ in range(window.size)]
+    for n, m, ratio in edges:
+        adjacency[n + bound].append((m + bound, ratio))
+        adjacency[m + bound].append((n + bound, 1 / ratio))
+    scales = [None] * window.size
+    scales[0] = Fraction(1)
+    stack = [0]
     while stack:
-        src = stack.pop()
-        for tgt, ratio in adjacency.get(src, ()):
-            # ratio = c(src)/c(tgt), so c(tgt) = c(src)/ratio
-            value = scales[src] / ratio
-            if tgt not in scales:
-                scales[tgt] = value
-                stack.append(tgt)
-            elif scales[tgt] != value:
-                raise NotIntermediateSeriesError("inconsistent scale chain at index %s" % tgt)
-    missing = [q for q in indices if q not in scales]
-    if missing:
-        raise AmbiguousTableError(
-            "entries do not connect the window; index %s is unreachable" % missing[0]
-        )
+        i = stack.pop()
+        for j, ratio in adjacency[i]:
+            # ratio = c(i)/c(j), so c(j) = c(i)/ratio
+            value = scales[i] / ratio
+            if scales[j] is None:
+                scales[j] = value
+                stack.append(j)
+            elif scales[j] != value:
+                raise NotIntermediateSeriesError(
+                    "inconsistent scale chain at index %s" % ((j - bound) * window.step)
+                )
+    for i, value in enumerate(scales):
+        if value is None:
+            raise AmbiguousTableError(
+                "entries do not connect the window; index %s is unreachable"
+                % ((i - bound) * window.step)
+            )
     return scales
 
 
-def _d_edges(d_steps, alpha, beta):
+def _d_edges(d_steps, index, alpha, beta):
     """The (source, target, ratio) edge of each d step for the slope beta:
-    its coefficient over the unscaled one."""
+    its coefficient over the unscaled one.  The steps arrive sorted by
+    generator, so the coefficient at source 0 is evaluated once per
+    generator and the index ``index[n]`` of each source n is added."""
     edges = []
-    for key, src, tgt, coeff in d_steps:
-        expected = d_coefficient(alpha, beta, src, key.index)
+    key = None
+    for step_key, n, m, coeff in d_steps:
+        if step_key is not key:
+            key = step_key
+            base = d_coefficient(alpha, beta, 0, key.index)
+        expected = base + index[n]
         if expected == 0:
             raise NotIntermediateSeriesError(
-                "entry %s at %s is nonzero where the action must vanish" % (key, src)
+                "entry %s at %s is nonzero where the action must vanish" % (key, index[n])
             )
-        edges.append((src, tgt, coeff / expected))
+        edges.append((n, m, coeff / expected))
     return edges
 
 
@@ -608,36 +656,42 @@ def recover_params(table):
     One pass checks the grading and sorts the entries: alpha comes from
     any d(0) eigenvalue minus its index, f from the I(0) eigenvalue, and
     every other entry is an edge of the scale chain whose ratio is its
-    coefficient over the unscaled one.  When f is nonzero and the I edges
-    connect the window, they fix the scales, the first d step in printed
-    order fixes beta, and each d edge is compared with the scales.
-    Otherwise beta is a root of the loop product of two opposite d steps,
-    and each candidate root builds one chain over the I and d edges.
-    Both slope solves take the beta-free part of a coefficient from
-    ``d_coefficient`` at beta = 0, so the action is written only there;
-    the chain starts at the window's first index, with scale 1.
-    Either way the chain compares each entry once, also an I and a d
-    entry on one pair of indices.  Inconsistent tables raise
+    coefficient over the unscaled one.  The pass reads window positions:
+    an entry at source n is graded when its target is n plus the step
+    multiple of its generator, computed once per generator.  When f is
+    nonzero and the I edges connect the window, they fix the scales, the
+    first d step in printed order fixes beta, and each d edge is compared
+    with the scales.  Otherwise beta is a root of the loop product of two
+    opposite d steps, and each candidate root builds one chain over the I
+    and d edges.  Both slope solves take the beta-free part of a
+    coefficient from ``d_coefficient`` at beta = 0, so the action is
+    written only there; the chain starts at the window's first index,
+    with scale 1.  Either way the chain compares each entry once, also an
+    I and a d entry on one pair of indices.  Inconsistent tables raise
     NotIntermediateSeriesError, tables too sparse to determine the data
     raise AmbiguousTableError.
     """
     window = table.window
     entries = table._entries
+    step, bound = window.step, window.bound
+    index = dict(zip(range(-bound, bound + 1), window.indices()))
+    multiples = cache(lambda key: _multiple(key.index, step))
     alphas, fs, i_steps, d_items = set(), set(), [], []
     for item in entries.items():
-        (key, src), (tgt, coeff) = item
-        if tgt != src + key.index:
+        (key, n), (m, coeff) = item
+        g = multiples(key)
+        if m - n != g:
             raise NotIntermediateSeriesError(
                 "entry %s at %s lands at %s; the grading requires %s"
-                % (key, src, tgt, src + key.index)
+                % (key, index[n], index[m], index[n] + key.index)
             )
         if key.kind == "d":
-            if key.index:
+            if g:
                 d_items.append(item)
             else:
-                alphas.add(coeff - src)
-        elif key.index:
-            i_steps.append((src, tgt, coeff))
+                alphas.add(coeff - index[n])
+        elif g:
+            i_steps.append((n, m, coeff))
         else:
             fs.add(coeff)
     if not alphas:
@@ -653,7 +707,7 @@ def recover_params(table):
             "I entries present although the I(0) eigenvalue is absent"
         )
 
-    i_edges = [(src, tgt, coeff / f) for src, tgt, coeff in i_steps]
+    i_edges = [(n, m, coeff / f) for n, m, coeff in i_steps]
     d_steps = [row[1:] for row in _printed_order(d_items)]
 
     if f:
@@ -662,27 +716,27 @@ def recover_params(table):
         except AmbiguousTableError:
             scales = None
         if scales is not None and d_steps:
-            key, src, tgt, coeff = d_steps[0]
-            unscaled = coeff * scales[tgt] / scales[src]
-            beta = (unscaled - d_coefficient(alpha, 0, src, key.index)) / key.index
-            for src, tgt, ratio in _d_edges(d_steps, alpha, beta):
-                if scales[src] / ratio != scales[tgt]:
+            key, n, m, coeff = d_steps[0]
+            unscaled = coeff * scales[m + bound] / scales[n + bound]
+            beta = (unscaled - d_coefficient(alpha, 0, index[n], key.index)) / key.index
+            for n, m, ratio in _d_edges(d_steps, index, alpha, beta):
+                if scales[n + bound] / ratio != scales[m + bound]:
                     raise NotIntermediateSeriesError(
-                        "inconsistent scale chain at index %s" % tgt
+                        "inconsistent scale chain at index %s" % index[m]
                     )
-            return ModuleParams(alpha, beta, f, window.group), scales
+            return ModuleParams(alpha, beta, f, window.group), dict(zip(index.values(), scales))
 
     # beta from a scale-free loop product of two opposite d steps; the
     # grading check makes the reverse step land back on the source
-    for key, q, tgt, coeff in d_steps:
-        back = entries.get((d(-key.index), tgt))
+    for key, n, m, coeff in d_steps:
+        back = entries.get((d(-key.index), m))
         if back is not None:
             break
     else:
         raise AmbiguousTableError("no d-generator data determines the coefficient slope")
     # the loop product is (a + p*beta)(a + p - p*beta) with a = alpha + q,
     # its beta-free part the product of the two coefficients at beta = 0
-    p = key.index
+    p, q = key.index, index[n]
     loop = d_coefficient(alpha, 0, q, p) * d_coefficient(alpha, 0, q + p, -p)
     curvature = (coeff * back[1] - loop) / (p * p)
     disc = _rational_sqrt(1 - 4 * curvature)
@@ -692,11 +746,11 @@ def recover_params(table):
         )
     for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
         try:
-            scales = _chain_scales(window, i_edges + _d_edges(d_steps, alpha, beta))
+            scales = _chain_scales(window, i_edges + _d_edges(d_steps, index, alpha, beta))
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
             error = exc
             continue
-        return ModuleParams(alpha, beta, f, window.group), scales
+        return ModuleParams(alpha, beta, f, window.group), dict(zip(index.values(), scales))
     raise error
 
 

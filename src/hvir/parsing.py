@@ -23,7 +23,7 @@ from functools import cache
 from math import inf
 
 from .algebra import CD, CDI, CI, AlgebraElement, I, d
-from .analysis import ActionTable, Window, _printed_order
+from .analysis import ActionTable, Window, _checked_entries, _printed_order
 from .errors import ParseError
 from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
@@ -272,7 +272,9 @@ def parse_table(text):
     following non-blank line is ``<generator> <source> <target>
     <coefficient>`` with whitespace-separated fields.  Per-call
     ``functools.cache`` readers parse each distinct generator and rational
-    field once.
+    field once, and read each distinct source or target field to its
+    window position once; the entries are checked by the one check of
+    ``ActionTable``.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -289,26 +291,31 @@ def parse_table(text):
     entries = {}
     keys = cache(lambda text: _field(text, _parse_atom, "generator"))
     rationals = cache(parse_rational)
+    positions = cache(lambda text: window._position(rationals(text)))
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
             raise ParseError("table line needs 4 fields, got %r" % line)
         key = keys(fields[0])
-        src = rationals(fields[1])
-        tgt = rationals(fields[2])
+        n = positions(fields[1])
+        m = positions(fields[2])
         coeff = rationals(fields[3])
-        if (key, src) in entries:
-            raise ParseError("duplicate table entry for %s at %s" % (key, src))
-        entries[(key, src)] = (tgt, coeff)
+        if (key, n) in entries:
+            raise ParseError("duplicate table entry for %s at %s" % (key, n * window.step))
+        entries[(key, n)] = (m, coeff)
     try:
-        return ActionTable(window, entries)
+        return ActionTable._trusted(window, _checked_entries(window, entries.items()))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def format_table(table):
     """Inverse of :func:`parse_table` for the same file format."""
-    lines = ["window %s %d" % (table.window.group, table.window.bound)]
-    for name, _, src, tgt, coeff in _printed_order(table.entries.items()):
-        lines.append("%s %s %s %s" % (name, src, tgt, coeff))
+    window = table.window
+    lines = ["window %s %d" % (window.group, window.bound)]
+    # the printed index of each position, offset by the bound
+    labels = [str(q) for q in window.indices()]
+    bound = window.bound
+    for name, _, n, m, coeff in _printed_order(table._entries.items()):
+        lines.append("%s %s %s %s" % (name, labels[n + bound], labels[m + bound], coeff))
     return "\n".join(lines) + "\n"

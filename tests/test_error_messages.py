@@ -8,6 +8,7 @@ from hvir import (
     FULL_Q,
     GroupMismatchError,
     ModuleParams,
+    NotIntermediateSeriesError,
     ParseError,
     Window,
     align_extension,
@@ -19,6 +20,7 @@ from hvir import (
     parse_element,
     parse_table,
     qk,
+    recover_params,
     transported_table,
 )
 from hvir.cli import main
@@ -136,9 +138,24 @@ class TestParser:
         # every field of the duplicate was parsed on an earlier line
         ("window qk:0 2\nd(1) 0 1 2\nd(-1) 1 0 2\nd(1) 0 1 2\n",
          "duplicate table entry for d(1) at 0"),
+        # two spellings of one source are one window position
+        ("window qk:0 2\nd(1) 0 1 2\nd(1) 0/3 1 2\n", "duplicate table entry for d(1) at 0"),
+        ("window cyclic:1/2 2\nd(1) 1/2 3/2 2\nd(1) 2/4 3/2 2\n",
+         "duplicate table entry for d(1) at 1/2"),
+        # a source off the step's multiples is still compared by value
+        ("window qk:0 2\nd(1) 1/2 3/2 2\nd(1) 2/4 3/2 2\n",
+         "duplicate table entry for d(1) at 1/2"),
     ])
     def test_table(self, text, expected):
         assert message(ParseError, parse_table, text) == expected
+
+    def test_generator_off_the_step_multiples(self):
+        # d(1/2) is no multiple of the window's step 1, so no target of
+        # the window grades it
+        table = parse_table("window qk:0 2\nd(1/2) 0 1 2\nd(0) 0 0 1\n")
+        assert message(NotIntermediateSeriesError, recover_params, table) == (
+            "entry d(1/2) at 0 lands at 1; the grading requires 1/2"
+        )
 
 
 class TestCli:

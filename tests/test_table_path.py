@@ -182,6 +182,17 @@ class TestBuilderOracle:
             transported_table(params, m, bound), reference_transported_table(params, m, bound)
         )
 
+    @pytest.mark.parametrize("m,bound", [(1, 1), (2, 3), (3, 5)])
+    def test_transport_acts_once_per_step(self, monkeypatch, m, bound):
+        # d(g) and I(g) for each of the 4B+1 steps g, whatever the bound
+        params = ModuleParams(F(1, 7) * qk(m).generator, F(2, 3), F(5), qk(m))
+        calls = []
+        act = analysis.act
+        monkeypatch.setattr(analysis, "act", lambda *args: calls.append(1) or act(*args))
+        fast = transported_table(params, m, bound)
+        assert len(calls) == 2 * (4 * bound + 1)
+        assert_built_like(fast, reference_transported_table(params, m, bound))
+
 
 class TestIntertwinerOracle:
     @settings(max_examples=400, deadline=None)
