@@ -300,9 +300,11 @@ def scan_details(params, window):
     """Closure dimensions from every singleton seed plus the verdict.
 
     Returns ``(classification, dims, proper_pivots)`` where ``dims`` maps
-    each window index to the dimension of the closure of its basis vector
-    and ``proper_pivots`` lists the basis indices of the distinguished
-    proper closure when one exists.  Each closure is the set of basis
+    each window index to the dimension of the closure of its basis vector,
+    in window order (the CLI prints it as it comes), and ``proper_pivots``
+    lists the basis indices of the distinguished proper closure when one
+    exists: that of the first seed whose closure is one line, else of the
+    first whose closure misses one line.  Each closure is the set of basis
     lines reachable from the seed (see :func:`closure`); the window's
     reachability is built once and shared by all seeds.
     """
@@ -312,46 +314,31 @@ def scan_details(params, window):
     indices = window.indices()
     size = window.size
     adjacency = _adjacency(params, window)
-    dims = {}
     # a seed reaches itself and what its adjacency row reaches, and the
     # rows take few distinct values (one, in the codimension-1 case)
     reaches = {}
-    trivial_seed = None
-    codim_seed = None
-    codim_pivots = None
-    stray = None
-    for i, q in enumerate(indices):
-        row = adjacency[i]
+    masks = []
+    for i, row in enumerate(adjacency):
         if row not in reaches:
             reaches[row] = _reach(adjacency, row)
-        reached = reaches[row] | 1 << i
-        dim = dims[q] = reached.bit_count()
-        if dim == size:
-            continue
-        if dim == 1:
-            if trivial_seed is None:
-                trivial_seed = q
-        elif dim == size - 1:
-            if codim_seed is None:
-                codim_seed = q
-                codim_pivots = [t for j, t in enumerate(indices) if reached >> j & 1]
-        else:
-            stray = q
-    if trivial_seed is not None:
-        note = (
-            "closure of the seed at index %s stays one-dimensional inside "
-            "a window of size %d" % (trivial_seed, size)
-        )
-        return Classification(VERDICT_TRIVIAL_SUB, note), dims, [trivial_seed]
-    if codim_seed is not None:
-        note = (
-            "closure of the seed at index %s spans all but one basis line "
-            "of a window of size %d" % (codim_seed, size)
-        )
-        return Classification(VERDICT_CODIM_ONE, note), dims, codim_pivots
-    if stray is not None:
+        masks.append(reaches[row] | 1 << i)
+    sizes = list(map(int.bit_count, masks))
+    dims = dict(zip(indices, sizes))
+    for verdict, dim, wording in (
+        (VERDICT_TRIVIAL_SUB, 1, "stays one-dimensional inside"),
+        (VERDICT_CODIM_ONE, size - 1, "spans all but one basis line of"),
+    ):
+        if dim in sizes:
+            i = sizes.index(dim)
+            mask = masks[i]
+            note = "closure of the seed at index %s %s a window of size %d" % (
+                indices[i], wording, size)
+            pivots = [q for j, q in enumerate(indices) if mask >> j & 1]
+            return Classification(verdict, note), dims, pivots
+    if sizes.count(size) != size:
+        last = max(i for i, dim in enumerate(sizes) if dim != size)
         raise NotIntermediateSeriesError(
-            "closure of the seed at index %s matches no known verdict" % stray
+            "closure of the seed at index %s matches no known verdict" % indices[last]
         )
     note = "every singleton seed generates the full window span"
     return Classification(VERDICT_IRREDUCIBLE, note), dims, None
@@ -409,6 +396,7 @@ def intertwiner_check(p1, p2, shift, window):
     can then attest anything.
     """
     _require_same_group(p1, p2)
+    _require_window_inside(p1, window)
     shift = as_fraction(shift)
     if not contains(p1.group, shift):
         raise SubalgebraError("shift %s lies outside the group %s" % (shift, p1.group))
@@ -667,9 +655,10 @@ def recover_params(table):
     coefficient from ``d_coefficient`` at beta = 0, so the action is
     written only there; the chain starts at the window's first index,
     with scale 1.  Either way the chain compares each entry once, also an
-    I and a d entry on one pair of indices.  Inconsistent tables raise
-    NotIntermediateSeriesError, tables too sparse to determine the data
-    raise AmbiguousTableError.
+    I and a d entry on one pair of indices.  The scales dict comes in
+    window order, which the CLI prints as it comes.  Inconsistent tables
+    raise NotIntermediateSeriesError, tables too sparse to determine the
+    data raise AmbiguousTableError.
     """
     window = table.window
     entries = table._entries
@@ -802,9 +791,8 @@ def align_extension(reference, candidate):
                 % (q, ratio, constant)
             )
     rescaled = {q: candidate[q] * (1 / constant) for q in sorted(candidate)}
-    indices = sorted(rescaled)
-    for q in indices:
-        for t in indices:
+    for q in rescaled:
+        for t in rescaled:
             for key, coeff in ((d(t - q), d_coefficient(params.alpha, params.beta, q, t - q)),
                                (I(t - q), params.f)):
                 if act(params, key, rescaled[q]) != coeff * rescaled[t]:

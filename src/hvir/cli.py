@@ -124,16 +124,14 @@ def _cmd_jacobi(args):
     keys = _basis_keys(window)
     # a sweep visits every rank in the order of itertools.combinations
     ranks = range(count) if samples is None else _sample_ranks(len(keys), samples, seed)
-    checked = 0
     for rank in ranks:
         x, y, z = (keys[i] for i in _unrank_triple(rank, len(keys)))
         value = jacobiator(x, y, z)
         if not value.is_zero():
             print("jacobi FAILED on (%s, %s, %s): %s" % (x, y, z, value))
             return 1
-        checked += 1
-    _emit(args, ["jacobi: OK (%d triples checked)" % checked],
-          window=str(window), checked=checked)
+    _emit(args, ["jacobi: OK (%d triples checked)" % count],
+          window=str(window), checked=count)
     return 0
 
 
@@ -213,7 +211,7 @@ def _cmd_scan(args):
     params = parse_params(args.params)
     window = _window(params, args.window)
     classification, dims, proper = scan_details(params, window)
-    dims_text = ", ".join("%s:%d" % (q, dim) for q, dim in sorted(dims.items()))
+    dims_text = ", ".join("%s:%d" % (q, dim) for q, dim in dims.items())
     lines = [
         "verdict: %s" % classification.verdict,
         "note: %s" % classification.subquotient_note,
@@ -225,7 +223,7 @@ def _cmd_scan(args):
         params=str(params),
         window=str(window),
         verdict=classification.verdict,
-        dimensions={str(q): dim for q, dim in sorted(dims.items())},
+        dimensions={str(q): dim for q, dim in dims.items()},
         basisIndices=None if proper is None else [str(p) for p in proper],
         note=classification.subquotient_note,
     )
@@ -252,13 +250,13 @@ def _cmd_recover(args):
     with open(args.table, "r", encoding="utf-8") as handle:
         table = parse_table(handle.read())
     params, scales = recover_params(table)
-    scale_text = ", ".join("%s=%s" % (q, c) for q, c in sorted(scales.items()))
+    scale_text = ", ".join("%s=%s" % (q, c) for q, c in scales.items())
     _emit(
         args,
         ["params: %s" % params, "scales: %s" % scale_text],
         params=str(params),
         window=str(table.window),
-        scales={str(q): str(c) for q, c in sorted(scales.items())},
+        scales={str(q): str(c) for q, c in scales.items()},
     )
     return 0
 

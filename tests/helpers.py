@@ -428,6 +428,8 @@ def reference_intertwiner_check(p1, p2, shift, window):
     ``window.steps()`` at every source, counting off-diagonal comparisons."""
     if p1.group != p2.group:
         raise GroupMismatchError("cannot compare modules over different groups")
+    if not is_subgroup(window.group, p1.group):
+        raise GroupMismatchError("window group is not inside the module group")
     shift = as_fraction(shift)
     if not contains(p1.group, shift):
         raise SubalgebraError("shift outside the group")

@@ -41,6 +41,7 @@ from hvir import (
     supernatural,
     transported_table,
 )
+from hvir import analysis
 from hvir.analysis import MAX_WINDOW_BOUND, _adjacency
 from helpers import (
     rand_fraction,
@@ -760,6 +761,8 @@ class TestClosureOracle:
             return
         classification, dims, proper = fast
         assert (classification.verdict, dims, proper) == slow
+        # the CLI prints the dimensions as they come
+        assert list(dims) == window.indices()
 
     @settings(max_examples=300, deadline=None)
     @given(oracle_cases())
@@ -782,6 +785,14 @@ class TestClosureOracle:
                 scan_details(p, w)
             with pytest.raises(GroupMismatchError):
                 closure(p, w, [{F(1): 1}])
+
+    def test_stray_closure_names_the_last_stray_seed(self, monkeypatch):
+        # closures of sizes 2 and 3 in a window of size 5 match no verdict
+        rows = [0b00011, 0b00011, 0b11100, 0b11100, 0b11100]
+        monkeypatch.setattr(analysis, "_adjacency", lambda params, window: rows)
+        with pytest.raises(NotIntermediateSeriesError) as info:
+            scan_details(ModuleParams(F(0), F(1), F(0), qk(0)), Window(qk(0), 2))
+        assert str(info.value) == "closure of the seed at index 2 matches no known verdict"
 
     def test_large_codim_one_scan(self):
         p = ModuleParams(F(0), F(1), F(0), qk(3))

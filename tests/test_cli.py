@@ -40,6 +40,25 @@ class TestGoldenOutputs:
         assert status == 0 and err == ""
         assert out == "-4*d(0) + 1/2*CD\n"
 
+    @pytest.mark.parametrize("params,verdict,note,dims,pivots", [
+        ("0,0,0@qk:0", "ReducibleTrivialSub",
+         "closure of the seed at index 0 stays one-dimensional inside a window of size 5",
+         "-2:5, -1:5, 0:1, 1:5, 2:5", ["0"]),
+        ("0,1,0@qk:0", "ReducibleCodimOne",
+         "closure of the seed at index -2 spans all but one basis line of a window of size 5",
+         "-2:4, -1:4, 0:5, 1:4, 2:4", ["-2", "-1", "1", "2"]),
+        ("1/3,1/2,0@qk:0", "Irreducible",
+         "every singleton seed generates the full window span",
+         "-2:5, -1:5, 0:5, 1:5, 2:5", None),
+    ])
+    def test_scan(self, capsys, params, verdict, note, dims, pivots):
+        status, out, err = run_cli(capsys, "scan", params, "--window", "2")
+        assert status == 0 and err == ""
+        assert out == "verdict: %s\nnote: %s\ndimensions: %s\n" % (verdict, note, dims)
+        status, out, _ = run_cli(capsys, "--structured", "scan", params, "--window", "2")
+        assert status == 0
+        assert json.loads(out)["basisIndices"] == pivots
+
     def test_phi(self, capsys):
         status, out, err = run_cli(
             capsys, "phi", "--m", "2", "--variant", "exact", "d(0)"
@@ -119,10 +138,12 @@ class TestVerbs:
         assert out == "31/30*v(1/2)\n"
 
     def test_jacobi_full_sweep_small(self, capsys):
-        status, out, _ = run_cli(capsys, "jacobi", "--window", "1:1")
-        assert status == 0
-        # 9 basis symbols on the window give C(9,3) = 84 triples
-        assert out == "jacobi: OK (84 triples checked)\n"
+        # 9 basis symbols on the window give C(9,3) = 84 triples, and a
+        # sample of more than that checks each of them once
+        for window, extra in (("1:1", ()), ("0:1", ("--samples", "1000"))):
+            status, out, _ = run_cli(capsys, "jacobi", "--window", window, *extra)
+            assert status == 0
+            assert out == "jacobi: OK (84 triples checked)\n"
 
     def test_jacobi_sampled(self, capsys):
         status, out, _ = run_cli(

@@ -15,12 +15,14 @@ from hvir import (
     basis_vector,
     closure,
     cyclic,
+    intermediate_series_table,
     intertwiner_check,
     iso_check,
     parse_element,
     parse_table,
     qk,
     recover_params,
+    scan_details,
     transported_table,
 )
 from hvir.cli import main
@@ -71,6 +73,22 @@ class TestAnalysis:
         assert message(ValueError, align_extension, *self._candidate(params)) == (
             "candidate violates the I-action relation from 0 to 2"
         )
+
+
+class TestWindowInsideModuleGroup:
+    # the one check every window function shares
+    PARAMS = ModuleParams(F(1, 3), F(1, 2), 0, qk(0))
+    WINDOW = Window(cyclic(F(1, 2)), 3)
+    TEXT = "window group cyclic:1/2 is not inside the module group cyclic:1"
+
+    @pytest.mark.parametrize("call", [
+        lambda p, w: closure(p, w, []),
+        lambda p, w: scan_details(p, w),
+        lambda p, w: intermediate_series_table(p, w),
+        lambda p, w: intertwiner_check(p, p, 0, w),
+    ], ids=["closure", "scan_details", "intermediate_series_table", "intertwiner_check"])
+    def test_message(self, call):
+        assert message(GroupMismatchError, call, self.PARAMS, self.WINDOW) == self.TEXT
 
 
 class TestSameGroup:
