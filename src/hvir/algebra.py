@@ -105,9 +105,42 @@ def _signed_terms(terms):
     return "".join(parts) or "0"
 
 
-class AlgebraElement:
+class _IntegerSum:
+    """A finite sum of terms (c/D) at indices k/L, held as ``_L``, ``_D``
+    and a sorted dict ``_num`` from keys built on the numerators k (k
+    itself for a vector, (rank, k) for an element) to the nonzero
+    numerators c, gcd-reduced (zero has L = D = 1).
+
+    The base of ``AlgebraElement`` and ``WeightVector``.  It holds the
+    methods that never read a key: ``is_zero``, ``__bool__``,
+    ``__neg__``, ``__mul__`` and ``__rmul__``.  Each subclass builds its
+    own kind from an unreduced integer form with ``_like(L, D, num)``.
+    """
+
+    __slots__ = ("_L", "_D", "_num")
+
+    def is_zero(self):
+        return not self._num
+
+    def __bool__(self):
+        return bool(self._num)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, scalar):
+        scalar = as_fraction(scalar)
+        sn = scalar.numerator
+        return self._like(self._L, self._D * scalar.denominator,
+                          {key: sn * c for key, c in self._num.items()})
+
+    __rmul__ = __mul__
+
+
+class AlgebraElement(_IntegerSum):
     """Finite linear combination of basis symbols, held in integers as a
-    ``WeightVector`` is.
+    ``WeightVector`` is, on the shared base ``_IntegerSum``, which holds
+    ``is_zero``, ``__bool__``, ``__neg__`` and the scalar multiples.
 
     The term (c/D) at the symbol of rank r (0 to 4 for d, I, CD, CDI, CI)
     and index k/L, with k = 0 for central symbols, is the entry (r, k): c
@@ -117,7 +150,7 @@ class AlgebraElement:
     constructor's input, ``terms``, ``coefficient`` and ``str``.
     """
 
-    __slots__ = ("_L", "_D", "_num", "_gens")
+    __slots__ = ("_gens",)
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -139,6 +172,9 @@ class AlgebraElement:
         self = object.__new__(cls)
         self._set_canonical(L, D, num)
         return self
+
+    def _like(self, L, D, num):
+        return AlgebraElement._canonical(L, D, num)
 
     def _set_canonical(self, L, D, num):
         if 0 in num.values():
@@ -175,12 +211,6 @@ class AlgebraElement:
     def coefficient(self, key):
         return self.terms.get(key, Fraction(0))
 
-    def is_zero(self):
-        return not self._num
-
-    def __bool__(self):
-        return bool(self._num)
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -204,18 +234,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self + -other
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        scalar = as_fraction(scalar)
-        sn = scalar.numerator
-        return AlgebraElement._canonical(
-            self._L, self._D * scalar.denominator, {key: sn * c for key, c in self._num.items()}
-        )
-
-    __rmul__ = __mul__
 
     def central_part(self):
         num = {key: c for key, c in self._num.items() if key[0] > 1}

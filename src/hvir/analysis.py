@@ -105,8 +105,8 @@ class Window(Frozen):
         return self._multiples(self.bound)
 
     def __contains__(self, q):
-        n = _multiple(as_fraction(q), self.step)
-        return n is not None and abs(n) <= self.bound
+        n = self._position(q)
+        return isinstance(n, int) and abs(n) <= self.bound
 
     def _position(self, q):
         """The position q/step: the int n with q == n*step, and otherwise
@@ -272,7 +272,8 @@ def closure(params, window, seeds):
     inside the window; its echelon rows are those pure basis vectors.
     """
     _require_window_inside(params, window)
-    bound, step = window.bound, window.step
+    bound = window.bound
+    span = range(-bound, bound + 1)
     start = 0
     for seed in seeds:
         if isinstance(seed, WeightVector):
@@ -282,17 +283,19 @@ def closure(params, window, seeds):
         else:
             entries = {as_fraction(q): as_fraction(c) for q, c in dict(seed).items()}
         for q, c in entries.items():
-            if q not in window:
+            # an index off the step's multiples has a non-integer position
+            n = window._position(q)
+            if n not in span:
                 raise ValueError("seed index %s lies outside the window" % q)
             if c:
-                start |= 1 << (_multiple(q, step) + bound)
+                start |= 1 << (n + bound)
     reached = _reach(_adjacency(params, window), start)
     sub = Subspace(params)
-    # the line at position n + bound is v(n*step), in integer form
-    L, k = step.denominator, step.numerator
-    for n in range(-bound, bound + 1):
+    # the line at position n is v(n*step), in integer form
+    L, k = window.step.denominator, window.step.numerator
+    for n, q in zip(span, window.indices()):
         if reached >> (n + bound) & 1:
-            sub._rows[n * step] = WeightVector._canonical(params, L, 1, {n * k: 1})
+            sub._rows[q] = WeightVector._canonical(params, L, 1, {n * k: 1})
     return sub
 
 
@@ -402,9 +405,11 @@ def intertwiner_check(p1, p2, shift, window):
         raise SubalgebraError("shift %s lies outside the group %s" % (shift, p1.group))
     if p1.f != p2.f:
         return False
-    # the sources are a run of consecutive window positions, so the steps
-    # t - q are the multiples n*step with |n| < len(sources)
-    reach = sum(q - shift in window for q in window.indices()) - 1
+    # with shift = s*step, the sources q with q - shift in the window are
+    # a run of 2B + 1 - |s| positions, so the steps t - q are the
+    # multiples n*step with |n| <= 2B - |s|; no source exists otherwise
+    s = _multiple(shift, window.step)
+    reach = -1 if s is None else 2 * window.bound - abs(s)
     for g in window._multiples(reach):
         if d_coefficient(p1.alpha, p1.beta, 0, g) != d_coefficient(p2.alpha, p2.beta, -shift, g):
             return False
@@ -662,13 +667,13 @@ def recover_params(table):
     """
     window = table.window
     entries = table._entries
-    step, bound = window.step, window.bound
+    bound = window.bound
     index = dict(zip(range(-bound, bound + 1), window.indices()))
-    multiples = cache(lambda key: _multiple(key.index, step))
+    positions = cache(lambda key: window._position(key.index))
     alphas, fs, i_steps, d_items = set(), set(), [], []
     for item in entries.items():
         (key, n), (m, coeff) = item
-        g = multiples(key)
+        g = positions(key)
         if m - n != g:
             raise NotIntermediateSeriesError(
                 "entry %s at %s lands at %s; the grading requires %s"

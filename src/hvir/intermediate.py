@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from ._frozen import Frozen, set_field
-from .algebra import _as_element, _signed_terms
+from .algebra import _as_element, _IntegerSum, _signed_terms
 from .errors import GroupMismatchError, SubalgebraError
 from .groups import (
     SubgroupSpec,
@@ -87,7 +87,7 @@ def d_coefficient(alpha, beta, q, g):
     return alpha + q + g * beta
 
 
-class WeightVector:
+class WeightVector(_IntegerSum):
     """Sparse vector over the module's basis indices.
 
     The basis vector at index q is a d(0)-eigenvector with eigenvalue
@@ -99,10 +99,12 @@ class WeightVector:
     coprime to the gcd of all k and D to the gcd of all c; the zero
     vector has L = D = 1), so equal vectors have equal fields.  Fractions
     appear only at the boundary: the constructor's input, ``entries``,
-    ``coefficient`` and ``str``.
+    ``coefficient`` and ``str``.  The key-free methods ``is_zero``,
+    ``__bool__``, ``__neg__`` and the scalar multiples come from the
+    integer-sum base ``_IntegerSum`` it shares with ``AlgebraElement``.
     """
 
-    __slots__ = ("params", "_L", "_D", "_num")
+    __slots__ = ("params",)
 
     def __init__(self, params, entries=()):
         if not isinstance(params, ModuleParams):
@@ -134,6 +136,9 @@ class WeightVector:
         _set_canonical(self, params, L, D, num)
         return self
 
+    def _like(self, L, D, num):
+        return WeightVector._canonical(self.params, L, D, num)
+
     @property
     def entries(self):
         L, D = self._L, self._D
@@ -145,12 +150,6 @@ class WeightVector:
             return Fraction(0)
         k = index.numerator * (self._L // index.denominator)
         return Fraction(self._num.get(k, 0), self._D)
-
-    def is_zero(self):
-        return not self._num
-
-    def __bool__(self):
-        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, WeightVector):
@@ -185,21 +184,6 @@ class WeightVector:
 
     def __sub__(self, other):
         return self._combine(other, -1, "subtract")
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        scalar = as_fraction(scalar)
-        sn = scalar.numerator
-        return WeightVector._canonical(
-            self.params,
-            self._L,
-            self._D * scalar.denominator,
-            {k: sn * c for k, c in self._num.items()},
-        )
-
-    __rmul__ = __mul__
 
     def __str__(self):
         return _signed_terms(("v(%s)" % q, c) for q, c in self.entries.items())

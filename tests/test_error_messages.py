@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import hvir.cli
 from hvir import (
+    CD,
+    AlgebraElement,
     FULL_Q,
     GroupMismatchError,
     ModuleParams,
@@ -22,6 +25,7 @@ from hvir import (
     parse_table,
     qk,
     recover_params,
+    restriction_report,
     scan_details,
     transported_table,
 )
@@ -49,6 +53,36 @@ class TestAnalysis:
         seed = basis_vector(other, 0)
         assert message(GroupMismatchError, closure, params, Window(qk(0), 3), [seed]) == (
             "seed belongs to different module parameters"
+        )
+
+    @pytest.mark.parametrize("index", [F(1, 2), F(3)], ids=["off-step", "past-bound"])
+    def test_closure_seed_outside_the_window(self, index):
+        params = ModuleParams(0, 1, 2, qk(0))
+        assert message(ValueError, closure, params, Window(qk(0), 2), [{index: 1}]) == (
+            "seed index %s lies outside the window" % index
+        )
+
+    @pytest.mark.parametrize("lines,expected", [
+        ("d(0) 0 0 1\nI(0) 0 0 2\nI(0) 1 1 3\n", "I(0) eigenvalues disagree"),
+        ("d(0) 0 0 1\nI(1) 0 1 3\n",
+         "I entries present although the I(0) eigenvalue is absent"),
+    ], ids=["two-f", "no-f"])
+    def test_recover_f(self, lines, expected):
+        table = parse_table("window qk:0 1\n" + lines)
+        assert message(NotIntermediateSeriesError, recover_params, table) == expected
+
+    def test_restriction_window_on_another_group(self):
+        params = ModuleParams(F(1, 3), F(1, 2), 0, qk(0))
+        window = Window(cyclic(F(1, 2)), 2)
+        assert message(GroupMismatchError, restriction_report, params, qk(0), window) == (
+            "window must live on the module's index group"
+        )
+
+    def test_align_mixed_params(self):
+        reference = {q: basis_vector(ModuleParams(0, 1, 1, qk(0)), q) for q in (0, 1)}
+        candidate = {q: basis_vector(ModuleParams(0, 1, 2, qk(0)), q) for q in (0, 1)}
+        assert message(GroupMismatchError, align_extension, reference, candidate) == (
+            "reference and candidate mix module parameters"
         )
 
     @staticmethod
@@ -177,6 +211,12 @@ class TestParser:
 
 
 class TestCli:
+    def test_jacobi_failure(self, capsys, monkeypatch):
+        # the one report of a nonzero jacobiator, which the algebra never gives
+        monkeypatch.setattr(hvir.cli, "jacobiator", lambda x, y, z: AlgebraElement.basis(CD))
+        assert main(["jacobi", "--window", "0:1"]) == 1
+        assert capsys.readouterr().out == "jacobi FAILED on (d(-1), d(0), d(1)): CD\n"
+
     @pytest.mark.parametrize("seed", ["1,,2", "1,", ",1", ""])
     def test_empty_seed_part(self, capsys, seed):
         argv = ["closure", "0,0,1@qk:0", "--window", "3", "--seed", seed]

@@ -217,6 +217,21 @@ class TestIntertwinerOracle:
         slow = outcome(reference_intertwiner_check, p1, p2, shift, window)
         assert fast == slow
 
+    @pytest.mark.parametrize("shift,expected", [
+        (F(5), True), (F(-5), True),
+        # |s| = 2B leaves one source and no step; past it, or off the
+        # window's step, no source is left
+        (F(6), False), (F(7), False), (F(1, 2), False),
+    ])
+    def test_reach_at_its_edges(self, shift, expected):
+        # the shift's step count s leaves the steps |n| <= 2B - |s|
+        group = cyclic(F(1, 2))
+        p1 = ModuleParams(F(1, 3), F(1, 2), 2, group)
+        p2 = ModuleParams(p1.alpha + shift, p1.beta, p1.f, group)
+        window = Window(qk(0), 3)
+        assert intertwiner_check(p1, p2, shift, window) is expected
+        assert reference_intertwiner_check(p1, p2, shift, window) is expected
+
 
 class TestRestrictionOracle:
     @settings(max_examples=300, deadline=None)
