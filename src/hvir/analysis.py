@@ -6,11 +6,13 @@ the basis lines reachable from the seeds, scans for reducibility,
 decomposes restrictions into cosets, checks shift intertwiners, recovers
 module parameters from abstract action tables, and aligns rescaled
 bases.  Action tables hold their entries by window position, the int n
-of the index n*step, with ``Fraction`` indices only at the edges.  Table
+of the index n*step, and each coefficient as a reduced integer pair
+(num, den) with den > 0; ``Fraction`` appears only at the edges.  Table
 builders walk (source, target) pairs of window positions and build the
-keys and the d-coefficient at source 0 of each of the 4B+1 steps once.
-Recovery sorts the entries in one pass and compares each once, as an
-edge of a scale chain; intertwiner checks compare each step once.
+keys and the scaled integer d-coefficient at source 0 of each of the
+4B+1 steps once.  Recovery sorts the entries in one pass and compares
+each once, as an edge of a scale chain of integer pairs; intertwiner
+checks compare each pair of window positions once, in integers.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from itertools import product
+from math import gcd, isqrt
 
 from ._frozen import Frozen, set_field
 from .algebra import CENTERLESS, BasisKey, I, RescalingMap, apply_phi, d
@@ -386,15 +389,17 @@ def restriction_report(params, subgroup, window):
     return report
 
 
-def intertwiner_check(p1, p2, shift, window):
-    """Whether mapping the basis vector at q to the target basis vector at
-    q - shift commutes with every window generator action.
+def intertwiner_check(p1, p2, shift, window, scales=None):
+    """Whether mapping the basis vector at q to c(q) times the target
+    basis vector at q - shift commutes with every window generator action.
 
-    The check covers all pairs of sources q and targets t whose shifted
-    images q - shift and t - shift also lie inside the window and compares
-    the exact coefficients of d(t - q); the I-coefficients force the
-    I-eigenvalues to agree.  The source cancels from the comparison, so
-    each step t - q is compared once, at source 0.  Returns False when
+    ``scales`` maps each window index q to the nonzero c(q), as in
+    :func:`intermediate_series_table`; without it c is 1.  The check
+    covers all pairs of sources q and targets t whose shifted images
+    q - shift and t - shift also lie inside the window and compares the
+    exact coefficients of d(t - q) and I(t - q) on both sides, as
+    integers over the denominators of :func:`_integer_action`; the
+    I-coefficients force the I-eigenvalues to agree.  Returns False when
     fewer than two such indices exist, since no off-diagonal comparison
     can then attest anything.
     """
@@ -403,17 +408,23 @@ def intertwiner_check(p1, p2, shift, window):
     shift = as_fraction(shift)
     if not contains(p1.group, shift):
         raise SubalgebraError("shift %s lies outside the group %s" % (shift, p1.group))
-    if p1.f != p2.f:
-        return False
+    c = _scale_factors(window, scales)
     # with shift = s*step, the sources q with q - shift in the window are
-    # a run of 2B + 1 - |s| positions, so the steps t - q are the
-    # multiples n*step with |n| <= 2B - |s|; no source exists otherwise
+    # a run of 2B + 1 - |s| positions; no source exists otherwise
     s = _multiple(shift, window.step)
-    reach = -1 if s is None else 2 * window.bound - abs(s)
-    for g in window._multiples(reach):
-        if d_coefficient(p1.alpha, p1.beta, 0, g) != d_coefficient(p2.alpha, p2.beta, -shift, g):
+    bound = window.bound
+    if p1.f != p2.f or s is None or abs(s) >= 2 * bound:
+        return False
+    run = range(max(-bound, s - bound), min(bound, s + bound) + 1)
+    P1, base1, Q1 = _integer_action(p1.alpha, p1.beta, window.step)
+    P2, base2, Q2 = _integer_action(p2.alpha, p2.beta, window.step)
+    for n, m in product(run, run):
+        # from q = n*step to t = m*step: coeff1 * c(t) == c(q) * coeff2
+        (an, ad), (bn, bd) = c[n + bound], c[m + bound]
+        if ((base1(m - n) + n * Q1) * P2 * bn * ad != (base2(m - n) + (n - s) * Q2) * P1 * an * bd
+                or p1.f and bn * ad != an * bd):
             return False
-    return reach > 0
+    return True
 
 
 class ActionTable:
@@ -423,16 +434,20 @@ class ActionTable:
     coefficient)``; at most one target per pair, matching modules whose
     weight spaces are one-dimensional.  Zero coefficients are omitted.
 
-    Entries are held by window position: the source n*step and the
-    target m*step are the integers n and m, so the table path hashes and
-    compares ints.  ``Fraction`` indices appear only at the edges, in the
-    input to ``ActionTable(window, entries)`` and in ``entries``.
+    Entries are held by window position, each coefficient as a reduced
+    integer pair: ``{(key, n): (m, (num, den))}`` with the source n*step,
+    the target m*step, gcd(num, den) == 1 and den > 0, so equal tables
+    have equal entries and the table path hashes and compares ints.
+    ``Fraction`` indices and coefficients appear only at the edges, in
+    the input to ``ActionTable(window, entries)`` and in ``entries``.
+    Each coefficient keeps its own denominator: a common one would make
+    every entry as long as the product of all of them.
 
     ``ActionTable(window, entries)`` checks every entry with
     :func:`_checked_entries`; the internal constructor ``_trusted`` takes
-    position-keyed entries and checks nothing, and is for the table
-    builders, whose entries are valid by construction, and for
-    ``parse_table``, which checks its entries with the same function.
+    position-keyed entries with reduced pairs and checks nothing, and is
+    for the table builders, whose entries are valid by construction, and
+    for ``parse_table``, which checks its entries with the same function.
     """
 
     def __init__(self, window, entries):
@@ -441,7 +456,7 @@ class ActionTable:
         at = window._position
         self.window = window
         self._entries = _checked_entries(window, (
-            ((key, at(src)), (at(tgt), as_fraction(coeff)))
+            ((key, at(src)), (at(tgt), as_fraction(coeff).as_integer_ratio()))
             for (key, src), (tgt, coeff) in dict(entries).items()
         ))
 
@@ -455,7 +470,7 @@ class ActionTable:
     @property
     def entries(self):
         indices, bound = self.window.indices(), self.window.bound
-        return {(key, indices[n + bound]): (indices[m + bound], coeff)
+        return {(key, indices[n + bound]): (indices[m + bound], Fraction(*coeff))
                 for (key, n), (m, coeff) in self._entries.items()}
 
     def __len__(self):
@@ -470,8 +485,14 @@ class ActionTable:
         return "ActionTable(%s, %d entries)" % (self.window, len(self._entries))
 
 
+def _reduced(num, den):
+    """num/den, for a nonzero den, as a reduced pair with den > 0."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
 def _checked_entries(window, items):
-    """The one check of table entries, as ``((key, n), (m, coeff))``
+    """The one check of table entries, as ``((key, n), (m, (num, den)))``
     items in window positions: the generator is a d or I symbol, source
     and target lie in the window, and zero coefficients are dropped.
     Returns the position-keyed entries."""
@@ -485,7 +506,7 @@ def _checked_entries(window, items):
         if n not in span or m not in span:
             raise ValueError("table entry %s: %s -> %s leaves the window"
                              % (key, n * window.step, m * window.step))
-        if coeff:
+        if coeff[0]:
             data[(key, n)] = (m, coeff)
     return data
 
@@ -500,39 +521,65 @@ def _printed_order(items):
     return sorted(rows, key=lambda row: (row[0], row[2]))
 
 
+def _scale_factors(window, scales):
+    """The scale c(q) of each window position as a reduced integer pair,
+    in a list indexed by position + bound; every c(q) is 1 when
+    ``scales`` is None."""
+    if scales is None:
+        return [(1, 1)] * window.size
+    c = {as_fraction(q): as_fraction(v) for q, v in dict(scales).items()}
+    if any(v == 0 for v in c.values()):
+        raise ValueError("scale factors must be nonzero")
+    indices = window.indices()
+    missing = [q for q in indices if q not in c]
+    if missing:
+        raise ValueError("scale factor missing for index %s" % missing[0])
+    return [c[q].as_integer_ratio() for q in indices]
+
+
+def _integer_action(alpha, beta, step):
+    """``(P, base, Q)`` with P > 0 and P * d_coefficient(alpha, beta,
+    n*step, j*step) == base(j) + n*Q for all ints n and j.
+
+    Times P = ad*bd*sd, alpha, the index n*step and j*step*beta are the
+    integers alpha_P, n*Q and j*beta_P, so by the linearity of
+    :func:`d_coefficient` the coefficient is d_coefficient(alpha_P,
+    beta_P, n*Q, j), as in :func:`act`."""
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    sn, sd = step.numerator, step.denominator
+    alpha_P, beta_P = an * bd * sd, sn * bn * ad
+    return ad * bd * sd, lambda j: d_coefficient(alpha_P, beta_P, 0, j), sn * ad * bd
+
+
 def intermediate_series_table(params, window, scales=None):
     """Action table of the module on a window of its own index group.
 
     ``scales`` optionally rescales the basis: with u(q) = c(q) v(q) the
     entry coefficients become coeff * c(source) / c(target).  The keys
     d(g), I(g) and the d-coefficient at source 0 of each of the 4B+1
-    steps g are built once; an entry adds its source to that base.
+    steps g are built once, as integers over one denominator P; an entry
+    adds its source to that base, multiplies by the scale ratio as a
+    pair of integers and reduces the pair with one gcd.
     """
     _require_window_inside(params, window)
-    indices = window.indices()
-    c = None
-    if scales is not None:
-        c = {as_fraction(q): as_fraction(v) for q, v in dict(scales).items()}
-        if any(v == 0 for v in c.values()):
-            raise ValueError("scale factors must be nonzero")
-        missing = [q for q in indices if q not in c]
-        if missing:
-            raise ValueError("scale factor missing for index %s" % missing[0])
-        c = [c[q] for q in indices]
-    alpha, beta, f = params.alpha, params.beta, params.f
+    c = _scale_factors(window, scales)
+    fn, fd = params.f.as_integer_ratio()
     bound = window.bound
     positions = range(-bound, bound + 1)
+    P, base, Q = _integer_action(params.alpha, params.beta, window.step)
     # steps[2B + m - n] is the step from position n to position m
-    steps = [(d(g), I(g), d_coefficient(alpha, beta, 0, g)) for g in window.steps()]
+    steps = [(d(g), I(g), base(j)) for j, g in enumerate(window.steps(), -2 * bound)]
     entries = {}
-    for n, src in zip(positions, indices):
-        for m, (dk, ik, base) in zip(positions, steps[bound - n:]):
-            ratio = None if c is None else c[n + bound] / c[m + bound]
-            coeff = base + src
-            if coeff:
-                entries[(dk, n)] = (m, coeff if ratio is None else coeff * ratio)
-            if f:
-                entries[(ik, n)] = (m, f if ratio is None else f * ratio)
+    for n, (an, ad) in zip(positions, c):
+        for m, (dk, ik, coeff), (bn, bd) in zip(positions, steps[bound - n:], c):
+            # the scale ratio c(n)/c(m) is rn/rd
+            rn, rd = an * bd, ad * bn
+            num = (coeff + n * Q) * rn
+            if num:
+                entries[(dk, n)] = (m, _reduced(num, P * rd))
+            if fn:
+                entries[(ik, n)] = (m, _reduced(fn * rn, fd * rd))
     return ActionTable._trusted(window, entries)
 
 
@@ -544,7 +591,8 @@ def transported_table(params, m, bound):
     of the 2(4B+1) rescaled generators d(g), I(g) is applied exactly, once,
     to the sum of the window's basis vectors: its image at (n + g)/m!
     holds the coefficient from source n alone, read off the image's
-    integer form.
+    integer form as a numerator over the image's denominator and reduced
+    with one gcd.
     """
     _require_qk(params, m, "transport")
     window_z = Window(INTEGERS, bound)
@@ -569,76 +617,78 @@ def transported_table(params, m, bound):
             for key, coeffs, D in pair:
                 c = coeffs.get(n)
                 if c:
-                    entries[(key, n)] = (t, Fraction(c, D))
+                    entries[(key, n)] = (t, _reduced(c, D))
     return ActionTable._trusted(window_z, entries)
 
 
 def _rational_sqrt(x):
-    if x < 0:
-        return None
-    rn = isqrt(x.numerator)
-    rd = isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
+    """The rational square root of x, or None when it has none."""
+    if x >= 0:
+        root = Fraction(isqrt(x.numerator), isqrt(x.denominator))
+        if root * root == x:
+            return root
     return None
 
 
 def _chain_scales(window, edges):
     """Propagate scale factors along ratio edges from the window's first
-    position, whose scale is 1; returns the scales as a list indexed by
-    position + bound.
+    position, whose scale is 1; returns the scales as reduced integer
+    pairs (num, den), den > 0, in a list indexed by position + bound.
 
     ``edges`` lists (source, target, ratio) triples of positions, ratio
-    being c(source)/c(target); every edge is compared, so two entries on
-    one pair of positions must agree.  Raises when the present edges do
-    not connect the whole window.
+    being c(source)/c(target) as a pair of nonzero integers (num, den)
+    of either sign.  Each scale is gcd-reduced when it is first reached;
+    every further edge is compared with it by cross-multiplication, so
+    two entries on one pair of positions must agree.  Raises when the
+    present edges do not connect the whole window.
     """
     bound = window.bound
     adjacency = [[] for _ in range(window.size)]
-    for n, m, ratio in edges:
-        adjacency[n + bound].append((m + bound, ratio))
-        adjacency[m + bound].append((n + bound, 1 / ratio))
+    for n, m, (rn, rd) in edges:
+        # c(m) = c(n) * rd/rn and c(n) = c(m) * rn/rd
+        adjacency[n + bound].append((m + bound, rd, rn))
+        adjacency[m + bound].append((n + bound, rn, rd))
     scales = [None] * window.size
-    scales[0] = Fraction(1)
+    scales[0] = (1, 1)
     stack = [0]
     while stack:
         i = stack.pop()
-        for j, ratio in adjacency[i]:
-            # ratio = c(i)/c(j), so c(j) = c(i)/ratio
-            value = scales[i] / ratio
-            if scales[j] is None:
-                scales[j] = value
+        num, den = scales[i]
+        for j, a, b in adjacency[i]:
+            # c(j) = c(i) * a/b
+            known = scales[j]
+            if known is None:
+                scales[j] = _reduced(num * a, den * b)
                 stack.append(j)
-            elif scales[j] != value:
+            elif known[0] * den * b != known[1] * num * a:
                 raise NotIntermediateSeriesError(
                     "inconsistent scale chain at index %s" % ((j - bound) * window.step)
                 )
-    for i, value in enumerate(scales):
-        if value is None:
-            raise AmbiguousTableError(
-                "entries do not connect the window; index %s is unreachable"
-                % ((i - bound) * window.step)
-            )
+    if None in scales:
+        raise AmbiguousTableError(
+            "entries do not connect the window; index %s is unreachable"
+            % ((scales.index(None) - bound) * window.step)
+        )
     return scales
 
 
-def _d_edges(d_steps, index, alpha, beta):
+def _d_edges(d_steps, window, alpha, beta):
     """The (source, target, ratio) edge of each d step for the slope beta:
-    its coefficient over the unscaled one.  The steps arrive sorted by
-    generator, so the coefficient at source 0 is evaluated once per
-    generator and the index ``index[n]`` of each source n is added."""
+    its coefficient over the unscaled one, as a pair of integers.  The
+    unscaled coefficient is an integer over P (see
+    :func:`_integer_action`); a per-call ``functools.cache`` evaluates
+    it at source 0 once per generator, and n*Q is added for each source
+    n."""
+    P, base, Q = _integer_action(alpha, beta, window.step)
+    base = cache(base)
     edges = []
-    key = None
-    for step_key, n, m, coeff in d_steps:
-        if step_key is not key:
-            key = step_key
-            base = d_coefficient(alpha, beta, 0, key.index)
-        expected = base + index[n]
+    for key, n, m, (num, den) in d_steps:
+        expected = base(m - n) + n * Q
         if expected == 0:
             raise NotIntermediateSeriesError(
-                "entry %s at %s is nonzero where the action must vanish" % (key, index[n])
+                "entry %s at %s is nonzero where the action must vanish" % (key, n * window.step)
             )
-        edges.append((n, m, coeff / expected))
+        edges.append((n, m, (num * P, den * expected)))
     return edges
 
 
@@ -660,16 +710,23 @@ def recover_params(table):
     coefficient from ``d_coefficient`` at beta = 0, so the action is
     written only there; the chain starts at the window's first index,
     with scale 1.  Either way the chain compares each entry once, also an
-    I and a d entry on one pair of indices.  The scales dict comes in
-    window order, which the CLI prints as it comes.  Inconsistent tables
-    raise NotIntermediateSeriesError, tables too sparse to determine the
-    data raise AmbiguousTableError.
+    I and a d entry on one pair of indices.
+
+    The entries, the edge ratios and the chain's scales are integer
+    pairs: alpha is compared across the d(0) entries as a reduced pair,
+    and ``Fraction`` is used only for the scalars alpha, beta and f, the
+    loop path's discriminant, and the returned ``ModuleParams`` and
+    scales dict.  The scales dict comes in window order, which the CLI
+    prints as it comes.  Inconsistent tables raise
+    NotIntermediateSeriesError, tables too sparse to determine the data
+    raise AmbiguousTableError.
     """
     window = table.window
     entries = table._entries
     bound = window.bound
     index = dict(zip(range(-bound, bound + 1), window.indices()))
     positions = cache(lambda key: window._position(key.index))
+    sn, sd = window.step.as_integer_ratio()
     alphas, fs, i_steps, d_items = set(), set(), [], []
     for item in entries.items():
         (key, n), (m, coeff) = item
@@ -683,7 +740,8 @@ def recover_params(table):
             if g:
                 d_items.append(item)
             else:
-                alphas.add(coeff - index[n])
+                # alpha = num/den - n*sn/sd
+                alphas.add(_reduced(coeff[0] * sd - n * sn * coeff[1], coeff[1] * sd))
         elif g:
             i_steps.append((n, m, coeff))
         else:
@@ -692,16 +750,17 @@ def recover_params(table):
         raise AmbiguousTableError("no d(0) entries; weight labels cannot be anchored")
     if len(alphas) != 1:
         raise NotIntermediateSeriesError("d(0) eigenvalues disagree about alpha")
-    alpha = alphas.pop()
+    alpha = Fraction(*alphas.pop())
     if len(fs) > 1:
         raise NotIntermediateSeriesError("I(0) eigenvalues disagree")
-    f = fs.pop() if fs else Fraction(0)
+    f = Fraction(*fs.pop()) if fs else Fraction(0)
     if f == 0 and i_steps:
         raise NotIntermediateSeriesError(
             "I entries present although the I(0) eigenvalue is absent"
         )
 
-    i_edges = [(n, m, coeff / f) for n, m, coeff in i_steps]
+    fn, fd = f.as_integer_ratio()
+    i_edges = [(n, m, (num * fd, den * fn)) for n, m, (num, den) in i_steps]
     d_steps = [row[1:] for row in _printed_order(d_items)]
 
     if f:
@@ -711,14 +770,16 @@ def recover_params(table):
             scales = None
         if scales is not None and d_steps:
             key, n, m, coeff = d_steps[0]
-            unscaled = coeff * scales[m + bound] / scales[n + bound]
+            unscaled = Fraction(*coeff) * Fraction(*scales[m + bound]) / Fraction(*scales[n + bound])
             beta = (unscaled - d_coefficient(alpha, 0, index[n], key.index)) / key.index
-            for n, m, ratio in _d_edges(d_steps, index, alpha, beta):
-                if scales[n + bound] / ratio != scales[m + bound]:
+            for n, m, (rn, rd) in _d_edges(d_steps, window, alpha, beta):
+                # c(m) must be c(n) * rd/rn
+                (an, ad), (bn, bd) = scales[n + bound], scales[m + bound]
+                if bn * ad * rn != bd * an * rd:
                     raise NotIntermediateSeriesError(
                         "inconsistent scale chain at index %s" % index[m]
                     )
-            return ModuleParams(alpha, beta, f, window.group), dict(zip(index.values(), scales))
+            return ModuleParams(alpha, beta, f, window.group), _scales_dict(index, scales)
 
     # beta from a scale-free loop product of two opposite d steps; the
     # grading check makes the reverse step land back on the source
@@ -732,20 +793,22 @@ def recover_params(table):
     # its beta-free part the product of the two coefficients at beta = 0
     p, q = key.index, index[n]
     loop = d_coefficient(alpha, 0, q, p) * d_coefficient(alpha, 0, q + p, -p)
-    curvature = (coeff * back[1] - loop) / (p * p)
+    curvature = (Fraction(*coeff) * Fraction(*back[1]) - loop) / (p * p)
     disc = _rational_sqrt(1 - 4 * curvature)
     if disc is None:
-        raise NotIntermediateSeriesError(
-            "loop products admit no rational coefficient slope"
-        )
+        raise NotIntermediateSeriesError("loop products admit no rational coefficient slope")
     for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
         try:
-            scales = _chain_scales(window, i_edges + _d_edges(d_steps, index, alpha, beta))
+            scales = _chain_scales(window, i_edges + _d_edges(d_steps, window, alpha, beta))
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
             error = exc
             continue
-        return ModuleParams(alpha, beta, f, window.group), dict(zip(index.values(), scales))
+        return ModuleParams(alpha, beta, f, window.group), _scales_dict(index, scales)
     raise error
+
+
+def _scales_dict(index, scales):
+    return {q: Fraction(*c) for q, c in zip(index.values(), scales)}
 
 
 def _proportionality(candidate, reference):

@@ -43,7 +43,7 @@ from .analysis import (
     scan_details,
 )
 from .errors import HvirError
-from .intermediate import act, basis_vector, classify, iso_check
+from .intermediate import _rescaling_power, act, basis_vector, classify, iso_check
 from .parsing import (parse_element, parse_group, parse_integer, parse_natural, parse_params,
                       parse_qk_window, parse_rational, parse_table)
 
@@ -162,8 +162,15 @@ def _cmd_iso(args):
     p2 = parse_params(args.right)
     flag, shift = iso_check(p1, p2)
     lines = ["isomorphic: %s" % ("true" if flag else "false")]
+    extra = {}
     if flag:
         lines.append("witness: %s" % shift)
+        # the isomorphism maps v(q) to (alpha + q)**power u(q - shift)
+        power = _rescaling_power(p1, p2)
+        if power:
+            rule = "v(q) -> (%s + q) u(q)" if power > 0 else "v(q) -> u(q)/(%s + q)"
+            extra["rescaling"] = rule % p1.alpha
+            lines.append("rescaling: %s" % extra["rescaling"])
     _emit(
         args,
         lines,
@@ -171,6 +178,7 @@ def _cmd_iso(args):
         other=str(p2),
         isomorphic=flag,
         witness=str(shift) if flag else None,
+        **extra,
     )
     return 0
 
@@ -277,55 +285,45 @@ def build_parser():
     p = sub.add_parser("bracket", help="bracket of two elements")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_bracket)
 
     p = sub.add_parser("jacobi", help="verify the Jacobi identity on a window")
     p.add_argument("--window", required=True, metavar="K:BOUND")
     p.add_argument("--samples")
     p.add_argument("--seed", default="0")
-    p.set_defaults(handler=_cmd_jacobi)
 
     p = sub.add_parser("act", help="act an element on a basis vector")
     p.add_argument("params")
     p.add_argument("element")
     p.add_argument("--at", required=True, metavar="INDEX")
-    p.set_defaults(handler=_cmd_act)
 
     p = sub.add_parser("classify", help="reducibility verdict for module parameters")
     p.add_argument("params")
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("iso", help="isomorphism test for two parameter sets")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_iso)
 
     p = sub.add_parser("phi", help="apply the index rescaling map")
     p.add_argument("--m", required=True)
     p.add_argument("--variant", choices=(EXACT_CENTRAL, CENTERLESS), required=True)
     p.add_argument("element")
-    p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("closure", help="submodule closure of seed vectors")
     p.add_argument("params")
     p.add_argument("--window", required=True, metavar="BOUND")
     p.add_argument("--seed", required=True, metavar="INDEX[,INDEX]*")
-    p.set_defaults(handler=_cmd_closure)
 
     p = sub.add_parser("scan", help="empirical reducibility scan")
     p.add_argument("params")
     p.add_argument("--window", required=True, metavar="BOUND")
-    p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("restrict", help="coset decomposition along a subgroup")
     p.add_argument("params")
     p.add_argument("--subgroup", required=True, metavar="GROUPSPEC")
     p.add_argument("--window", required=True, metavar="BOUND")
-    p.set_defaults(handler=_cmd_restrict)
 
     p = sub.add_parser("recover", help="recover parameters from a table file")
     p.add_argument("--table", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_recover)
 
     # a word that begins with one "-" and names no option of its verb, such
     # as -1/3,1,0@Q or -2*d(1), is a value: argparse takes a word for a
@@ -345,7 +343,8 @@ def main(argv=None):
     set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_int_digits(0)
     try:
-        status = args.handler(args)
+        # the verb's handler is _cmd_<verb>
+        status = globals()["_cmd_" + args.verb](args)
         # flush here, so that a closed stdout fails inside this try
         sys.stdout.flush()
         return status

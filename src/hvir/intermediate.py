@@ -360,6 +360,18 @@ def iso_check(p1, p2):
     return False, None
 
 
+def _rescaling_power(p1, p2):
+    """For a pair that :func:`iso_check` accepts, the power e of the
+    rescaling v(q) -> (alpha + q)**e u(q), alpha = p1.alpha, that the
+    isomorphism composes with its shift, so that it maps v(q) to
+    (alpha + q)**e u(q - shift): 1 from beta 0 to beta 1 off the group,
+    -1 from beta 1 to beta 0, and 0 when the shift alone is the map (or,
+    on the group, when only the subquotients are isomorphic)."""
+    if p1.beta == p2.beta or p1.alpha == 0:
+        return 0
+    return 1 if p1.beta == 0 else -1
+
+
 def pullback_params(params, m):
     """Parameters of the same module seen through the order-m rescaling.
 

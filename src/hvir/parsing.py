@@ -23,7 +23,7 @@ from functools import cache
 from math import inf
 
 from .algebra import CD, CDI, CI, AlgebraElement, I, d
-from .analysis import ActionTable, Window, _checked_entries, _printed_order
+from .analysis import ActionTable, Window, _checked_entries, _printed_order, _reduced
 from .errors import ParseError
 from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
@@ -102,16 +102,19 @@ class _Scanner:
     def integer(self):
         return self.sign() * self.digits()
 
-    def rational(self):
-        num = self.integer()
+    def ratio(self):
+        """A rational as its reduced pair (num, den), den > 0."""
+        num, den = self.integer(), 1
         if self.peek() == "/":
             self.pos += 1
             den_pos = self.pos
             den = self.digits()
             if den == 0:
                 self.error("denominator must be positive", den_pos)
-            return Fraction(num, den)
-        return Fraction(num)
+        return _reduced(num, den)
+
+    def rational(self):
+        return Fraction(*self.ratio())
 
     def word(self):
         start = self.pos
@@ -131,6 +134,11 @@ def _field(text, read, what):
 def parse_rational(text):
     """Parse a full string as an exact rational."""
     return _field(text, _Scanner.rational, "rational")
+
+
+def _parse_ratio(text):
+    """Parse a full string as a rational's reduced pair (num, den)."""
+    return _field(text, _Scanner.ratio, "rational")
 
 
 def parse_natural(text, what):
@@ -271,9 +279,10 @@ def parse_table(text):
     The first non-blank line is ``window <groupspec> <bound>``; every
     following non-blank line is ``<generator> <source> <target>
     <coefficient>`` with whitespace-separated fields.  Per-call
-    ``functools.cache`` readers parse each distinct generator and rational
-    field once, and read each distinct source or target field to its
-    window position once; the entries are checked by the one check of
+    ``functools.cache`` readers parse each distinct generator field once,
+    read each distinct source or target field to its window position
+    once, and each distinct coefficient field to its reduced integer
+    pair (num, den) once; the entries are checked by the one check of
     ``ActionTable``.
     """
     lines = [line.strip() for line in text.splitlines()]
@@ -290,8 +299,8 @@ def parse_table(text):
     window = Window(group, bound)
     entries = {}
     keys = cache(lambda text: _field(text, _parse_atom, "generator"))
-    rationals = cache(parse_rational)
-    positions = cache(lambda text: window._position(rationals(text)))
+    positions = cache(lambda text: window._position(parse_rational(text)))
+    coefficients = cache(_parse_ratio)
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
@@ -299,7 +308,7 @@ def parse_table(text):
         key = keys(fields[0])
         n = positions(fields[1])
         m = positions(fields[2])
-        coeff = rationals(fields[3])
+        coeff = coefficients(fields[3])
         if (key, n) in entries:
             raise ParseError("duplicate table entry for %s at %s" % (key, n * window.step))
         entries[(key, n)] = (m, coeff)
@@ -310,12 +319,16 @@ def parse_table(text):
 
 
 def format_table(table):
-    """Inverse of :func:`parse_table` for the same file format."""
+    """Inverse of :func:`parse_table` for the same file format.  Each
+    index and, through a per-call ``functools.cache``, each distinct
+    coefficient pair is printed once."""
     window = table.window
     lines = ["window %s %d" % (window.group, window.bound)]
     # the printed index of each position, offset by the bound
     labels = [str(q) for q in window.indices()]
+    # a reduced pair prints as its Fraction does
+    texts = cache(lambda coeff: str(coeff[0]) if coeff[1] == 1 else "%d/%d" % coeff)
     bound = window.bound
     for name, _, n, m, coeff in _printed_order(table._entries.items()):
-        lines.append("%s %s %s %s" % (name, labels[n + bound], labels[m + bound], coeff))
+        lines.append("%s %s %s %s" % (name, labels[n + bound], labels[m + bound], texts(coeff)))
     return "\n".join(lines) + "\n"

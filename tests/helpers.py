@@ -2,7 +2,8 @@
 the Fraction-dict oracles for weight vectors, the module action and
 exact spans, the exact-elimination oracle for the window engine, the
 one-pass-per-entry oracles for the action-table path with a table
-that is both inconsistent and disconnected, the per-character
+that is both inconsistent and disconnected, the scale-chain oracle for
+a rescaled shift isomorphism, the per-character
 scanner, the accumulator-per-operation oracle for algebra elements with
 its own Fraction basis bracket, the entry-dict proportionality test, the
 valuation-profile oracle for the subgroup lattice, and the dataclass
@@ -49,13 +50,14 @@ from hvir import (
     basis_vector,
     contains,
     d,
+    intermediate_series_table,
     is_subgroup,
     normalize_alpha,
     qk,
     supernatural,
 )
 from hvir.algebra import _CENTRAL_KINDS, _as_element, _signed_terms
-from hvir.analysis import MAX_WINDOW_BOUND
+from hvir.analysis import MAX_WINDOW_BOUND, _chain_scales
 from hvir.groups import MAX_DIGITS, MAX_FACTORIAL_ORDER, _check_prime_powers, _factorint
 from hvir.intermediate import d_coefficient
 from hvir.parsing import _Scanner
@@ -618,6 +620,41 @@ def stray_i_entry_table():
             if key.index == 0 or (key, src) in ((d(1), -1), (d(-1), 0))}
     kept[(I(1), Fraction(-1))] = (Fraction(0), Fraction(7))
     return ActionTable(window, kept)
+
+
+def chain_iso_scales(p1, p2, shift, window):
+    """Oracle for a rescaled shift isomorphism on a window, independent
+    of ``iso_check``: the scales c with v(q) -> c(q) u(q - shift)
+    intertwining every window action, as a dict over the window, or None.
+
+    p1's table on ``window`` is paired entry by entry with p2's entry on
+    the same generator at the shifted source, read off p2's table on a
+    window wide enough to hold every q - shift.  An entry on one side
+    only refutes the pair.  Every other pair is an edge of the scale
+    chain from source q to target t with ratio c(q)/c(t) = coeff1/coeff2,
+    and the pair is isomorphic on the window exactly when the chain is
+    consistent and connects the window.  ``shift`` is a multiple of the
+    window step."""
+    k = int(Fraction(shift) / window.step)
+    wide = Window(window.group, window.bound + abs(k))
+    ones = intermediate_series_table(p1, window)._entries
+    twos = intermediate_series_table(p2, wide)._entries
+    span = range(-window.bound, window.bound + 1)
+    # p2's entries relabelled by the shift, kept where both ends stay inside
+    relabelled = {(key, n + k): (m + k, coeff) for (key, n), (m, coeff) in twos.items()
+                  if n + k in span and m + k in span}
+    if set(ones) != set(relabelled):
+        return None
+    edges = []
+    for entry, (m, (num1, den1)) in ones.items():
+        m2, (num2, den2) = relabelled[entry]
+        assert m2 == m
+        edges.append((entry[1], m, (num1 * den2, den1 * num2)))
+    try:
+        scales = _chain_scales(window, edges)
+    except (NotIntermediateSeriesError, AmbiguousTableError):
+        return None
+    return {q: Fraction(*c) for q, c in zip(window.indices(), scales)}
 
 
 # storage order of the oracle: central symbols, then d(g) and I(g) by index

@@ -50,6 +50,7 @@ from hvir import (
     NonConstantScalingError,
 )
 from hvir.cli import main as cli_main
+from hvir.intermediate import _rescaling_power
 from helpers import rand_fraction, rand_nonzero_fraction, rng
 
 F = Fraction
@@ -337,6 +338,11 @@ def test_c09_isomorphism_criterion():
                 scales = {q: 1 / (p1.alpha + q) for q in window.indices()}
                 assert intermediate_series_table(p1, window, scales) == \
                     intermediate_series_table(p2, window)
+                # the witness the CLI prints: v(q) -> (alpha + q) u(q - shift)
+                assert _rescaling_power(p1, p2) == 1
+                scales = {q: p1.alpha + q for q in window.indices()}
+                assert intertwiner_check(p1, p2, shift, window, scales=scales)
+                assert not intertwiner_check(p1, p2, shift, window)
         else:
             false_count += 1
             for g in window.indices():

@@ -163,9 +163,17 @@ class TestVerbs:
         assert out == "isomorphic: true\nwitness: 1\n"
 
     def test_iso_slope_swap_off_the_group(self, capsys):
+        # the shift composed with the rescaling is the whole isomorphism
         status, out, _ = run_cli(capsys, "iso", "1/7,0,0@qk:0", "1/7,1,0@qk:0")
         assert status == 0
-        assert out == "isomorphic: true\nwitness: 0\n"
+        assert out == "isomorphic: true\nwitness: 0\nrescaling: v(q) -> (1/7 + q) u(q)\n"
+
+    def test_iso_slope_swap_back_with_a_shift(self, capsys):
+        status, out, _ = run_cli(capsys, "--structured", "iso", "-1/7,1,0@qk:0", "13/7,0,0@qk:0")
+        assert status == 0
+        report = json.loads(out)
+        assert list(report)[-3:] == ["isomorphic", "witness", "rescaling"]
+        assert (report["witness"], report["rescaling"]) == ("2", "v(q) -> u(q)/(-1/7 + q)")
 
     @pytest.mark.parametrize("argv,expected", [
         (["classify", "--", "-1/3,1,0@Q"], "verdict: ReducibleCodimOne\n"),

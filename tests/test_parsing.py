@@ -242,16 +242,21 @@ class TestTableFiles:
         assert len(table) == 1
 
     def test_each_distinct_field_is_parsed_once_per_call(self, monkeypatch):
-        rationals, generators = [], []
-        parse_rational, parse_atom = parsing.parse_rational, parsing._parse_atom
+        # index fields are read to rationals, coefficient fields to pairs
+        rationals, ratios, generators = [], [], []
+        parse_rational, parse_ratio = parsing.parse_rational, parsing._parse_ratio
+        parse_atom = parsing._parse_atom
         monkeypatch.setattr(parsing, "parse_rational",
                             lambda text: rationals.append(text) or parse_rational(text))
+        monkeypatch.setattr(parsing, "_parse_ratio",
+                            lambda text: ratios.append(text) or parse_ratio(text))
         monkeypatch.setattr(parsing, "_parse_atom",
                             lambda s: generators.append(s.text) or parse_atom(s))
-        text = "window cyclic:1 1\nd(0) -1 -1 1\nd(0) 0 0 1\nd(0) 1 1 1\nd(1) 0 1 1\n"
+        text = "window cyclic:1 1\nd(0) -1 -1 1\nd(0) 0 0 1\nd(0) 1 1 2/4\nd(1) 0 1 1\n"
         for calls in (1, 2):
             assert len(parse_table(text)) == 4
-            assert rationals == ["-1", "1", "0"] * calls
+            assert rationals == ["-1", "0", "1"] * calls
+            assert ratios == ["1", "2/4"] * calls
             assert generators == ["d(0)", "d(1)"] * calls
 
     def test_each_distinct_generator_is_printed_once_per_call(self, monkeypatch):

@@ -3,6 +3,7 @@
 against the one-pass-per-entry oracles in ``helpers``."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,19 +13,26 @@ from hvir import (
     ActionTable,
     HvirError,
     I,
+    NotIntermediateSeriesError,
     ModuleParams,
     TRIVIAL,
     Window,
     cyclic,
     d,
+    format_table,
     intermediate_series_table,
     intertwiner_check,
+    iso_check,
+    parse_table,
+    pullback_params,
     qk,
     recover_params,
     restriction_report,
     transported_table,
 )
+from hvir.intermediate import _rescaling_power
 from helpers import (
+    chain_iso_scales,
     reference_intertwiner_check,
     reference_recover_params,
     reference_restriction_report,
@@ -231,6 +239,162 @@ class TestIntertwinerOracle:
         window = Window(qk(0), 3)
         assert intertwiner_check(p1, p2, shift, window) is expected
         assert reference_intertwiner_check(p1, p2, shift, window) is expected
+
+
+# Z, 1/2 Z and qk(3)
+ISO_GROUPS = (qk(0), cyclic(F(1, 2)), qk(3))
+
+
+@st.composite
+def iso_pairs(draw):
+    """Two modules over one of ISO_GROUPS with the window over it: alpha
+    on the group or off it, f = 0 and beta in {0, 1} drawn more often,
+    and p2 a shifted copy of p1 with its beta kept or redrawn, the beta
+    0/1 swap of a shifted copy, or drawn afresh."""
+    group = draw(st.sampled_from(ISO_GROUPS))
+    window = Window(group, draw(st.integers(2, 4)))
+    step = group.generator
+    alpha = draw(st.one_of(
+        st.integers(-3, 3).map(lambda n: n * step),
+        st.builds(F, st.integers(-9, 9), st.sampled_from([5, 7])).map(lambda a: a * step),
+    ))
+    betas = st.one_of(st.sampled_from([F(0), F(1)]), small_fractions)
+    fs = st.one_of(st.just(F(0)), st.just(F(0)), nonzero_fractions)
+    shifted = alpha + draw(st.integers(-3, 3)) * step
+    kind = draw(st.sampled_from(["shifted", "swapped", "fresh"]))
+    if kind == "swapped":
+        p1 = ModuleParams(alpha, draw(st.sampled_from([F(0), F(1)])), F(0), group)
+        return p1, ModuleParams(shifted, 1 - p1.beta, F(0), group), window
+    p1 = ModuleParams(alpha, draw(betas), draw(fs), group)
+    if kind == "shifted":
+        beta = draw(st.one_of(st.just(p1.beta), st.just(1 - p1.beta), betas))
+        return p1, ModuleParams(shifted, beta, p1.f, group), window
+    return p1, ModuleParams(draw(small_fractions) * step, draw(betas), draw(fs), group), window
+
+
+class TestIsoWitnessOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(iso_pairs())
+    def test_chain_oracle_agrees_with_iso_check(self, case):
+        p1, p2, window = case
+        step = window.step
+        flag, shift = iso_check(p1, p2)
+        if not flag:
+            # no shift of the window carries p1 onto p2
+            for k in range(-2 * window.bound + 1, 2 * window.bound):
+                assert chain_iso_scales(p1, p2, k * step, window) is None, k
+            return
+        scales = chain_iso_scales(p1, p2, shift, window)
+        if p1.beta != p2.beta and p1.alpha == 0:
+            # on the group only the irreducible subquotients agree
+            assert scales is None
+            return
+        # the witness is v(q) -> (alpha + q)**e u(q - shift), up to a constant
+        power = _rescaling_power(p1, p2)
+        witness = {q: (p1.alpha + q) ** power for q in window.indices()}
+        assert scales is not None
+        constant = scales[window.indices()[0]] / witness[window.indices()[0]]
+        assert scales == {q: constant * c for q, c in witness.items()}
+        assert intertwiner_check(p1, p2, shift, window, scales=witness)
+        assert intertwiner_check(p1, p2, shift, window) is (power == 0)
+
+    def test_i_actions_pin_the_scales(self):
+        # alpha + q rescales the d actions of the slope swap into each
+        # other, but not f: with f != 0 the scales must be constant
+        window = Window(qk(0), 4)
+        scales = {q: F(1, 7) + q for q in window.indices()}
+        for f, expected in ((F(0), True), (F(2), False)):
+            p1 = ModuleParams(F(1, 7), F(0), f, qk(0))
+            p2 = ModuleParams(F(1, 7), F(1), f, qk(0))
+            assert intertwiner_check(p1, p2, 0, window, scales=scales) is expected
+
+    def test_slope_swap_scales_are_alpha_plus_q(self):
+        p1 = ModuleParams(F(1, 7), F(0), F(0), qk(0))
+        p2 = ModuleParams(F(1, 7), F(1), F(0), qk(0))
+        window = Window(qk(0), 6)
+        scales = chain_iso_scales(p1, p2, 0, window)
+        assert scales == {q: (F(1, 7) + q) / F(-41, 7) for q in window.indices()}
+
+
+@st.composite
+def builder_tables(draw):
+    """The tables of one module over Z, 1/2 Z or qk(3) from every builder:
+    unscaled, scaled (negative scales and scales whose ratios reduce,
+    such as 2/4, drawn often), scaled by a constant multiple of those
+    scales, transported from qk(m) with its direct twin, and each table
+    read back from its text."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    group = qk(m)
+    bound = draw(st.integers(1, 3))
+    window = Window(group, bound)
+    params = ModuleParams(
+        draw(small_fractions), draw(st.one_of(st.sampled_from([F(0), F(1)]), small_fractions)),
+        draw(st.one_of(st.just(F(0)), nonzero_fractions)), group)
+    factors = st.one_of(st.sampled_from([F(2), F(4), F(-2), F(-4), F(6), F(-1, 2)]),
+                        nonzero_fractions)
+    scales = {q: draw(factors) for q in window.indices()}
+    constant = draw(factors)
+    direct = intermediate_series_table(pullback_params(params, m), Window(qk(0), bound))
+    tables = [
+        intermediate_series_table(params, window),
+        intermediate_series_table(params, window, scales),
+        intermediate_series_table(params, window, {q: constant * c for q, c in scales.items()}),
+        transported_table(params, m, bound),
+        direct,
+    ]
+    return tables + [parse_table(format_table(t)) for t in tables]
+
+
+class TestCanonicalPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(builder_tables())
+    def test_every_builder_gives_the_canonical_form(self, tables):
+        for t in tables:
+            assert all(den > 0 and gcd(num, den) == 1
+                       for _, (num, den) in t._entries.values())
+            assert ActionTable(t.window, t.entries) == t
+            assert parse_table(format_table(t)) == t
+            # each coefficient written with numerator and denominator doubled
+            lines = [line.split() for line in format_table(t).splitlines()]
+            doubled = [fields[:3] + ["%d/%d" % (2 * F(fields[3]).numerator,
+                                                2 * F(fields[3]).denominator)]
+                       for fields in lines[1:]]
+            assert parse_table("\n".join(map(" ".join, lines[:1] + doubled))) == t
+        for t1 in tables:
+            for t2 in tables:
+                assert (t1 == t2) is (t1.entries == t2.entries)
+        # a constant rescaling, transport and a round trip change nothing
+        assert tables[1] == tables[2] and tables[3] == tables[4]
+        assert tables[5:] == tables[:5]
+
+
+class TestBoundedEntryCost:
+    def test_pairwise_coprime_denominators(self):
+        # 1860 coefficients 1/(A*i + 1) of about 1000 digits, pairwise
+        # coprime because every prime below 2001 divides A: one common
+        # denominator would have about 1.9 million digits, and every entry
+        # would be as long.  Each entry keeps its own denominator instead.
+        A = lcm(*range(1, 2001)) * 10 ** 130
+        bound = 15
+        lines = ["window cyclic:1 %d" % bound]
+        i = 0
+        for n in range(-bound, bound + 1):
+            lines.append("d(0) %d %d %s" % (n, n, F(1, 3) + n))
+            lines.append("I(0) %d %d 2" % (n, n))
+            for m in range(-bound, bound + 1):
+                for key in ("d", "I") if m != n else ():
+                    i += 1
+                    lines.append("%s(%d) %d %d 1/%d" % (key, m - n, n, m, A * i + 1))
+        assert i == 1860
+        table = parse_table("\n".join(lines) + "\n")
+        assert max(den for _, (_, den) in table._entries.values()).bit_length() < 3400
+        text = format_table(table)
+        assert sorted(text.splitlines()) == sorted(lines)
+        assert parse_table(text) == table
+        with pytest.raises(NotIntermediateSeriesError) as exc:
+            recover_params(table)
+        assert exc.value.code == "not-intermediate-series"
+        assert str(exc.value) == "inconsistent scale chain at index -14"
 
 
 class TestRestrictionOracle:
