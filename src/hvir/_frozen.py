@@ -11,6 +11,12 @@ tuple is equal.  The hash is the hash of the field tuple, computed on
 the first ``hash`` and cached in the ``_hash`` slot that ``Frozen``
 declares.  ``repr`` reads like a dataclass's,
 ``Cyclic(generator=Fraction(1, 2))``.
+
+One rule covers the slots that are not fields: a slot whose name begins
+with an underscore, such as ``_hash``, caches something the fields
+determine.  It takes no part in ``__match_args__``, ``==``, ``hash``,
+``repr`` or pickling, and is filled by the constructor (``_hash`` by
+the first ``hash``).
 """
 
 from operator import attrgetter
@@ -29,7 +35,8 @@ class Frozen:
     _fields = staticmethod(lambda value: ())
 
     def __init_subclass__(cls):
-        names = cls.__match_args__ = cls.__match_args__ + cls.__dict__["__slots__"]
+        fields = tuple(name for name in cls.__dict__["__slots__"] if name[0] != "_")
+        names = cls.__match_args__ = cls.__match_args__ + fields
         if len(names) > 1:
             cls._fields = attrgetter(*names)
         elif names:
@@ -66,6 +73,6 @@ class Frozen:
         )
 
     def __reduce__(self):
-        # rebuilt by the constructor from the fields alone, so no cached
-        # hash travels: str hashes are salted per process
+        # rebuilt by the constructor from the fields alone, so no cache
+        # travels: str hashes are salted per process
         return self.__class__, self._fields(self)

@@ -150,7 +150,9 @@ class AlgebraElement(_IntegerSum):
     constructor's input, ``terms``, ``coefficient`` and ``str``.
     """
 
-    __slots__ = ("_gens",)
+    # _gens: the lazy generators below; _group: the last group object
+    # found to hold all of the d and I indices (act's membership memo)
+    __slots__ = ("_gens", "_group")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -188,7 +190,7 @@ class AlgebraElement(_IntegerSum):
                 L //= gl
                 D //= gc
                 num = {(r, k // gl): num[r, k] // gc for r, k in sorted(num)}
-        self._L, self._D, self._num, self._gens = L, D, num, None
+        self._L, self._D, self._num, self._gens, self._group = L, D, num, None, None
 
     def _generators(self):
         """``(gcd(k)/L, [(r, k, c) for each d and I term])``, made once: a

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from ._frozen import Frozen, set_field
-from .algebra import _as_element, _IntegerSum, _signed_terms
+from .algebra import AlgebraElement, _as_element, _IntegerSum, _signed_terms
 from .errors import GroupMismatchError, SubalgebraError
 from .groups import (
     SubgroupSpec,
@@ -59,17 +59,23 @@ __all__ = [
 
 
 class ModuleParams(Frozen):
-    __slots__ = ("alpha", "beta", "f", "group")
+    # _ints is a cache, not a field: the numerators and denominators
+    # (an, ad, bn, bd, fn, fd) of alpha, beta and f, which act reads
+    __slots__ = ("alpha", "beta", "f", "group", "_ints")
 
     def __init__(self, alpha, beta, f, group):
         if not isinstance(group, SubgroupSpec):
             raise TypeError("group must be a subgroup spec")
         if isinstance(group, Trivial):
             raise ValueError("module index group must be nonzero")
-        set_field(self, "alpha", normalize_alpha(alpha, group))
-        set_field(self, "beta", as_fraction(beta))
-        set_field(self, "f", as_fraction(f))
+        alpha = normalize_alpha(alpha, group)
+        beta, f = as_fraction(beta), as_fraction(f)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "f", f)
         set_field(self, "group", group)
+        set_field(self, "_ints", (alpha.numerator, alpha.denominator, beta.numerator,
+                                  beta.denominator, f.numerator, f.denominator))
 
     def __str__(self):
         return "%s,%s,%s@%s" % (self.alpha, self.beta, self.f, self.group)
@@ -195,17 +201,30 @@ class WeightVector(_IntegerSum):
 def _set_canonical(self, params, L, D, num):
     """Fill a vector's fields with the canonical form of (L, D, num):
     zeros dropped, keys sorted, both denominators gcd-reduced."""
-    if 0 in num.values():
-        num = {k: c for k, c in num.items() if c}
-    if not num:
-        L = D = 1
+    if len(num) == 1:
+        # one term, as every act on a basis vector gives: reduced directly
+        (k, c), = num.items()
+        if not c:
+            L = D = 1
+            num = {}
+        else:
+            gl, gc = gcd(L, k), gcd(D, c)
+            if gl != 1 or gc != 1:
+                L //= gl
+                D //= gc
+                num = {k // gl: c // gc}
     else:
-        gl = gcd(L, *num)
-        gc = gcd(D, *num.values())
-        if gl != 1 or gc != 1 or len(num) > 1:
-            L //= gl
-            D //= gc
-            num = {k // gl: num[k] // gc for k in sorted(num)}
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
+        if not num:
+            L = D = 1
+        else:
+            gl = gcd(L, *num)
+            gc = gcd(D, *num.values())
+            if gl != 1 or gc != 1 or len(num) > 1:
+                L //= gl
+                D //= gc
+                num = {k // gl: num[k] // gc for k in sorted(num)}
     self.params = params
     self._L = L
     self._D = D
@@ -223,16 +242,22 @@ def act(params, x, v):
     symbols act as zero.  The result lives in the full module, with no
     window truncation.
 
-    The work is done on the integers of ``x`` and ``v``, with one
-    membership test for all of the indices of ``x``.
+    The work is done on the integers of ``x``, ``v`` and the module,
+    whose six integers are read off ``params`` once per ``ModuleParams``.
+    One membership test covers all of the indices of ``x``, and it runs
+    once per element per group object: ``x`` remembers the last group
+    that passed it, by identity, and any other group is tested in full.
     """
-    x = _as_element(x)
+    if not isinstance(x, AlgebraElement):
+        x = _as_element(x)
     if v.params is not params and v.params != params:
         raise GroupMismatchError("vector belongs to %s, not %s" % (v.params, params))
     group = params.group
     span, gens = x._gens or x._generators()
-    if span and not contains(group, span):
-        raise SubalgebraError("element %s has indices outside the group %s" % (x, group))
+    if x._group is not group:
+        if span and not contains(group, span):
+            raise SubalgebraError("element %s has indices outside the group %s" % (x, group))
+        x._group = group
     source = v._num
     if not gens or not source:
         return WeightVector._canonical(params, 1, 1, {})
@@ -241,10 +266,7 @@ def act(params, x, v):
         scale = L // v._L
         source = {k * scale: c for k, c in source.items()}
     sx = L // x._L
-    alpha, beta, f = params.alpha, params.beta, params.f
-    an, ad = alpha.numerator, alpha.denominator
-    bn, bd = beta.numerator, beta.denominator
-    fn, fd = f.numerator, f.denominator
+    an, ad, bn, bd, fn, fd = params._ints
     # times P = ad*bd*L, alpha, the index k/L and g*beta are the integers
     # alpha_P, k*S and gk*beta_P, so P times each d-coefficient is one too
     S = ad * bd

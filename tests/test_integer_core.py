@@ -1,6 +1,7 @@
 """Differential tests of the integer-backed ``WeightVector``, ``act`` and
 ``Subspace`` against the Fraction-dict oracles in ``helpers``."""
 
+import copy
 from fractions import Fraction
 from math import inf
 
@@ -161,6 +162,95 @@ class TestAgainstReference:
     @given(st.sampled_from(CORE_GROUPS), any_indices())
     def test_contains(self, group, q):
         assert contains(group, q) == reference_contains(group, q)
+
+
+def reference_outcome(params, x, rv):
+    try:
+        return reference_act(params, x, rv)
+    except SubalgebraError:
+        return SubalgebraError
+
+
+def assert_same_outcome(params, x, v, expected):
+    if expected is SubalgebraError:
+        with pytest.raises(SubalgebraError):
+            act(params, x, v)
+    else:
+        assert_same(act(params, x, v), expected)
+
+
+class TestReusedElements:
+    """``act`` remembers on each element the last group object that held
+    its indices; these tests reuse elements across modules, as the rep
+    workload does, so that the memo meets every case it must not skip."""
+
+    def test_membership_memo_cannot_leak(self):
+        x = AlgebraElement.basis(d(F(1, 2)))
+        half = ModuleParams(F(1, 3), F(1), F(2), cyclic(F(1, 2)))
+        ints = ModuleParams(F(1, 3), F(1), F(2), qk(0))
+        v, u = WeightVector(half, {F(1, 2): 1}), WeightVector(ints, {1: 1})
+        assert act(half, x, v) == WeightVector(half, {1: F(4, 3)})
+        with pytest.raises(SubalgebraError):
+            act(ints, x, u)
+        # an element that raised once raises again on the same group
+        with pytest.raises(SubalgebraError):
+            act(ints, x, u)
+        # an equal group built afresh is tested in full, and passes
+        again = ModuleParams(F(1, 3), F(1), F(2), cyclic(F(1, 2)))
+        assert again.group is not half.group
+        assert act(again, x, WeightVector(again, {F(1, 2): 1})) == \
+            WeightVector(again, {1: F(4, 3)})
+        with pytest.raises(SubalgebraError):
+            act(ints, x, u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pool_of_elements_over_several_modules(self, data):
+        # one pool of elements, some off each group, acts on every module
+        # in turn, twice over, and twice in a row as x.(y.v); each module
+        # also has a twin over an equal group object built afresh
+        pool = data.draw(st.lists(elements(any_indices(), 1), min_size=1, max_size=4))
+        modules = data.draw(st.lists(params_and_indices(), min_size=2, max_size=3))
+        modules += [(ModuleParams(p.alpha, p.beta, p.f, copy.deepcopy(p.group)), indices)
+                    for p, indices in modules]
+        for params, indices in modules * 2:
+            items = data.draw(entry_lists(indices))
+            v, rv = WeightVector(params, items), ReferenceVector(params, items)
+            for y in pool:
+                first = reference_outcome(params, y, rv)
+                assert_same_outcome(params, y, v, first)
+                if first is SubalgebraError:
+                    continue
+                for x in pool:
+                    assert_same_outcome(params, x, act(params, y, v),
+                                        reference_outcome(params, x, first))
+
+
+class TestOneTermCanonicalForm:
+    """One-term vectors are reduced by gcd(L, k) and gcd(D, c) alone."""
+
+    @pytest.mark.parametrize("L, D, k, c", [
+        (3, 5, 7, 0),  # zero coefficient: the zero vector
+        (3, 5, 0, 4),  # index 0: L reduces to 1
+        (1, 1, 2, -3),  # negative coefficient
+        (7, 2, -3, -5),  # already reduced, both signs negative
+        (6, 1, 4, 1),  # L and k share 2
+        (1, 10, 3, -4),  # D and c share 2
+        (12, 18, -8, -27),  # both pairs share a factor
+    ])
+    def test_against_the_reference(self, L, D, k, c):
+        params = ModuleParams(F(1, 5), F(2), F(3), FULL_Q)
+        v = WeightVector._canonical(params, L, D, {k: c})
+        assert_same(v, ReferenceVector(params, {F(k, L): F(c, D)}))
+        q, coeff = F(k, L), F(c, D)
+        if c:
+            assert (v._L, v._D, v._num) == (q.denominator, coeff.denominator,
+                                             {q.numerator: coeff.numerator})
+        else:
+            assert (v._L, v._D, v._num) == (1, 1, {})
+        # the same form as the multi-term path gives once a second term cancels
+        two = WeightVector._canonical(params, L, D, {k: c, k + 1: 0})
+        assert (two._L, two._D, two._num) == (v._L, v._D, v._num)
 
 
 class TestRepresentationIdentity:

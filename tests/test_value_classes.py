@@ -35,7 +35,10 @@ from hvir import (
     Supernatural,
     Trivial,
     Window,
+    act,
+    basis_vector,
     cyclic,
+    d,
     qk,
     supernatural,
 )
@@ -204,6 +207,32 @@ def test_every_value_caches_its_hash(name):
     assert getattr(value, "_hash", None) is None
     first = hash(value)
     assert value._hash == first == hash(value)
+
+
+def test_the_integer_form_is_not_a_field():
+    # ModuleParams keeps alpha, beta and f as integers in the slot _ints,
+    # filled by its constructor, and act reads them; being no field, the
+    # slot leaves ==, hash, repr, pattern matching and pickling as they were
+    params = ModuleParams(Fraction(-2, 7), Fraction(3, 4), Fraction(5, 6), cyclic(Fraction(1, 2)))
+    before = hash(params)
+    act(params, d(Fraction(1, 2)), basis_vector(params, 1))
+    fresh = ModuleParams(Fraction(-2, 7), Fraction(3, 4), Fraction(5, 6), cyclic(Fraction(1, 2)))
+    assert params == fresh and hash(params) == hash(fresh) == before
+    assert repr(params) == repr(fresh)
+    assert ModuleParams.__match_args__ == ("alpha", "beta", "f", "group")
+    assert params._ints == fresh._ints == (-2, 7, 3, 4, 5, 6)
+    # the pickled state is the four fields alone
+    assert params.__reduce__() == (ModuleParams, (params.alpha, params.beta, params.f,
+                                                  params.group))
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        back = round_trip(params)
+        assert back.__class__ is ModuleParams
+        assert getattr(back, "_hash", None) is None
+        assert back == fresh and hash(back) == before and repr(back) == repr(fresh)
+        # the constructor fills the cache again
+        assert back._ints == fresh._ints
+        assert act(back, d(Fraction(1, 2)), basis_vector(back, 1)) == \
+            act(fresh, d(Fraction(1, 2)), basis_vector(fresh, 1))
 
 
 def test_pickled_hash_is_recomputed_in_another_process():
