@@ -202,7 +202,12 @@ class AlgebraElement(_IntegerSum):
 
     @classmethod
     def basis(cls, key, coeff=1):
-        return cls([(key, coeff)])
+        """coeff times one basis symbol, built directly in integer form."""
+        if not isinstance(key, BasisKey):
+            raise TypeError("term keys must be BasisKey, got %r" % (key,))
+        q, c = key.index or 0, as_fraction(coeff)
+        num = {(_RANK[key.kind], q.numerator): c.numerator}
+        return cls._canonical(q.denominator, c.denominator, num)
 
     @property
     def terms(self):

@@ -5,14 +5,18 @@ group.  Within a window the engine computes exact submodule closures as
 the basis lines reachable from the seeds, scans for reducibility,
 decomposes restrictions into cosets, checks shift intertwiners, recovers
 module parameters from abstract action tables, and aligns rescaled
-bases.  Action tables hold their entries by window position, the int n
-of the index n*step, and each coefficient as a reduced integer pair
-(num, den) with den > 0; ``Fraction`` appears only at the edges.  Table
-builders walk (source, target) pairs of window positions and build the
-keys and the scaled integer d-coefficient at source 0 of each of the
-4B+1 steps once.  Recovery sorts the entries in one pass and compares
-each once, as an edge of a scale chain of integer pairs; intertwiner
-checks compare each pair of window positions once, in integers.
+bases.  Action tables are keyed by ints: the entry (r, g, n) -> (m,
+(num, den)) says that d(g*step) (r = 0) or I(g*step) (r = 1) sends the
+basis vector at n*step to num/den times the one at m*step, with the
+coefficient a reduced integer pair, den > 0.  ``BasisKey`` and
+``Fraction`` appear only at the edges: in a table's input and its
+``entries``, and in printed names and messages.  Table builders walk
+(source, target) pairs of window positions and compute the scaled
+integer d-coefficient at source 0 of each of the 4B+1 steps once.
+Recovery sorts the entries in one pass, grades each as m - n == g, and
+compares each once, as an edge of a scale chain of integer pairs;
+intertwiner checks compare each pair of window positions once, in
+integers.
 
 Generator applications are truncated to the window: a term whose target
 index leaves the window is dropped, so truncation never invents
@@ -29,11 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, isqrt
 
 from ._frozen import Frozen, set_field
-from .algebra import CENTERLESS, BasisKey, I, RescalingMap, apply_phi, d
+from .algebra import _KINDS, _RANK, CENTERLESS, BasisKey, I, RescalingMap, apply_phi, d
 from .errors import (
     AmbiguousTableError,
     DisjointOverlapError,
@@ -72,10 +76,11 @@ __all__ = [
 ]
 
 
-# Largest accepted window bound.  A scan here takes 10-60 ms and a
-# closure less, on a 2-vCPU host under Python 3.11: each distinct
-# adjacency row is expanded once, and an expansion stops when the whole
-# window is reached.
+# Largest accepted window bound.  A scan here takes 6-31 ms (the most at
+# beta = 1/2, where every row misses a different target) and a closure
+# 2-8 ms, on a 2-vCPU host under Python 3.11: each distinct adjacency row
+# is expanded once, and an expansion stops when the whole window is
+# reached.
 MAX_WINDOW_BOUND = 2048
 
 
@@ -434,29 +439,35 @@ class ActionTable:
     coefficient)``; at most one target per pair, matching modules whose
     weight spaces are one-dimensional.  Zero coefficients are omitted.
 
-    Entries are held by window position, each coefficient as a reduced
-    integer pair: ``{(key, n): (m, (num, den))}`` with the source n*step,
-    the target m*step, gcd(num, den) == 1 and den > 0, so equal tables
-    have equal entries and the table path hashes and compares ints.
-    ``Fraction`` indices and coefficients appear only at the edges, in
-    the input to ``ActionTable(window, entries)`` and in ``entries``.
+    Entries are held in ints, by window position, each coefficient as a
+    reduced integer pair: ``{(r, g, n): (m, (num, den))}`` for the
+    generator d(g*step) (r = 0) or I(g*step) (r = 1) at the source
+    n*step, with the target m*step, gcd(num, den) == 1 and den > 0, so
+    equal tables have equal entries and the table path hashes and
+    compares ints.  A generator index off the step's multiples has the
+    non-integer ``Fraction`` position g, as a source does in
+    :meth:`Window._position`.  ``BasisKey``s and ``Fraction`` indices
+    and coefficients appear only at the edges: in the input to
+    ``ActionTable(window, entries)``, where each distinct generator is
+    converted once, in ``entries``, and in printed names and messages.
     Each coefficient keeps its own denominator: a common one would make
     every entry as long as the product of all of them.
 
     ``ActionTable(window, entries)`` checks every entry with
     :func:`_checked_entries`; the internal constructor ``_trusted`` takes
-    position-keyed entries with reduced pairs and checks nothing, and is
-    for the table builders, whose entries are valid by construction, and
-    for ``parse_table``, which checks its entries with the same function.
+    int-keyed entries with reduced pairs and checks nothing, and is for
+    the table builders, whose entries are valid by construction, and for
+    ``parse_table``, which checks its entries with the same function.
     """
 
     def __init__(self, window, entries):
         if not isinstance(window, Window):
             raise TypeError("expected a Window")
         at = window._position
+        generators = cache(lambda key: _generator(window, key))
         self.window = window
         self._entries = _checked_entries(window, (
-            ((key, at(src)), (at(tgt), as_fraction(coeff).as_integer_ratio()))
+            ((*generators(key), at(src)), (at(tgt), as_fraction(coeff).as_integer_ratio()))
             for (key, src), (tgt, coeff) in dict(entries).items()
         ))
 
@@ -470,8 +481,9 @@ class ActionTable:
     @property
     def entries(self):
         indices, bound = self.window.indices(), self.window.bound
-        return {(key, indices[n + bound]): (indices[m + bound], Fraction(*coeff))
-                for (key, n), (m, coeff) in self._entries.items()}
+        keys = cache(lambda r, g: _generator_key(self.window, r, g))
+        return {(keys(r, g), indices[n + bound]): (indices[m + bound], Fraction(*coeff))
+                for (r, g, n), (m, coeff) in self._entries.items()}
 
     def __len__(self):
         return len(self._entries)
@@ -491,34 +503,49 @@ def _reduced(num, den):
     return num // g, den // g
 
 
+def _generator(window, key):
+    """The (r, g) of a table generator: r = 0 for d(g*step) and r = 1 for
+    I(g*step), with g the window position of the index.  Any other key
+    gets r = 2 and g = the key itself, which :func:`_checked_entries`
+    refuses."""
+    if isinstance(key, BasisKey) and not key.is_central:
+        return _RANK[key.kind], window._position(key.index)
+    return 2, key
+
+
+def _generator_key(window, r, g):
+    """The key of the generator (r, g), for names and messages."""
+    return BasisKey(_KINDS[r], g * window.step) if r < 2 else g
+
+
 def _checked_entries(window, items):
-    """The one check of table entries, as ``((key, n), (m, (num, den)))``
-    items in window positions: the generator is a d or I symbol, source
-    and target lie in the window, and zero coefficients are dropped.
-    Returns the position-keyed entries."""
+    """The one check of table entries, as ``((r, g, n), (m, (num, den)))``
+    items (see :func:`_generator`): the generator is a d or I symbol,
+    source and target lie in the window, and zero coefficients are
+    dropped.  Returns the int-keyed entries."""
     span = range(-window.bound, window.bound + 1)
     data = {}
-    for (key, n), (m, coeff) in items:
-        if not isinstance(key, BasisKey) or key.is_central:
+    for (r, g, n), (m, coeff) in items:
+        if r > 1:
             raise ValueError("table generators must be d(...) or I(...) symbols")
         # a position off the step's multiples is a non-integer Fraction,
         # which no int of the span equals
         if n not in span or m not in span:
             raise ValueError("table entry %s: %s -> %s leaves the window"
-                             % (key, n * window.step, m * window.step))
+                             % (_generator_key(window, r, g), n * window.step, m * window.step))
         if coeff[0]:
-            data[(key, n)] = (m, coeff)
+            data[r, g, n] = (m, coeff)
     return data
 
 
-def _printed_order(items):
-    """``(name, generator, source, target, coefficient)`` rows of table
+def _printed_order(window, items):
+    """``(name, g, source, target, coefficient)`` rows of int-keyed table
     items, sorted by the printed generator ``name``, then the source
     position; a per-call ``functools.cache`` prints each distinct
-    generator once."""
-    names = cache(str)
-    rows = [(names(key), key, n, m, coeff) for (key, n), (m, coeff) in items]
-    return sorted(rows, key=lambda row: (row[0], row[2]))
+    generator once, through ``BasisKey.__str__``."""
+    names = cache(lambda r, g: str(_generator_key(window, r, g)))
+    # one name is one generator, so rows differ by the source at the latest
+    return sorted((names(r, g), g, n, m, coeff) for (r, g, n), (m, coeff) in items)
 
 
 def _scale_factors(window, scales):
@@ -556,11 +583,11 @@ def intermediate_series_table(params, window, scales=None):
     """Action table of the module on a window of its own index group.
 
     ``scales`` optionally rescales the basis: with u(q) = c(q) v(q) the
-    entry coefficients become coeff * c(source) / c(target).  The keys
-    d(g), I(g) and the d-coefficient at source 0 of each of the 4B+1
-    steps g are built once, as integers over one denominator P; an entry
-    adds its source to that base, multiplies by the scale ratio as a
-    pair of integers and reduces the pair with one gcd.
+    entry coefficients become coeff * c(source) / c(target).  The
+    d-coefficient at source 0 of each of the 4B+1 steps g is computed
+    once, as an integer over one denominator P; an entry adds its source
+    to that base, multiplies by the scale ratio as a pair of integers and
+    reduces the pair with one gcd.
     """
     _require_window_inside(params, window)
     c = _scale_factors(window, scales)
@@ -568,18 +595,18 @@ def intermediate_series_table(params, window, scales=None):
     bound = window.bound
     positions = range(-bound, bound + 1)
     P, base, Q = _integer_action(params.alpha, params.beta, window.step)
-    # steps[2B + m - n] is the step from position n to position m
-    steps = [(d(g), I(g), base(j)) for j, g in enumerate(window.steps(), -2 * bound)]
+    # steps[2B + g] is the step g = m - n from position n to position m
+    steps = [(g, base(g)) for g in range(-2 * bound, 2 * bound + 1)]
     entries = {}
     for n, (an, ad) in zip(positions, c):
-        for m, (dk, ik, coeff), (bn, bd) in zip(positions, steps[bound - n:], c):
+        for m, (g, coeff), (bn, bd) in zip(positions, steps[bound - n:], c):
             # the scale ratio c(n)/c(m) is rn/rd
             rn, rd = an * bd, ad * bn
             num = (coeff + n * Q) * rn
             if num:
-                entries[(dk, n)] = (m, _reduced(num, P * rd))
+                entries[(0, g, n)] = (m, _reduced(num, P * rd))
             if fn:
-                entries[(ik, n)] = (m, _reduced(fn * rn, fd * rd))
+                entries[(1, g, n)] = (m, _reduced(fn * rn, fd * rd))
     return ActionTable._trusted(window, entries)
 
 
@@ -600,24 +627,23 @@ def transported_table(params, m, bound):
     M = phi.scale.numerator
     positions = range(-bound, bound + 1)
     vector = WeightVector(params, {Fraction(n, M): 1 for n in positions})
-    # images[2B + t - n] acts from position n to position t: for d(g) and
-    # I(g), the key, its numerators {source: c} and their denominator
-    images = []
+    # images[r][2B + t - n] acts from position n to position t: for d(g)
+    # (r = 0) and I(g) (r = 1), the numerators {source: c} and their
+    # denominator
+    images = ([], [])
     for g in range(-2 * bound, 2 * bound + 1):
-        pair = []
-        for key in (d(g), I(g)):
+        for r, key in enumerate((d(g), I(g))):
             image = act(params, apply_phi(phi, key), vector)
             # the image's index k/L is the target t/M, and L divides M
             scale = M // image._L
-            pair.append((key, {k * scale - g: c for k, c in image._num.items()}, image._D))
-        images.append(pair)
+            images[r].append(({k * scale - g: c for k, c in image._num.items()}, image._D))
     entries = {}
     for n in positions:
-        for t, pair in zip(positions, images[bound - n:]):
-            for key, coeffs, D in pair:
+        for t, *pair in zip(positions, images[0][bound - n:], images[1][bound - n:]):
+            for r, (coeffs, D) in enumerate(pair):
                 c = coeffs.get(n)
                 if c:
-                    entries[(key, n)] = (t, _reduced(c, D))
+                    entries[(r, t - n, n)] = (t, _reduced(c, D))
     return ActionTable._trusted(window_z, entries)
 
 
@@ -643,18 +669,18 @@ def _chain_scales(window, edges):
     present edges do not connect the whole window.
     """
     bound = window.bound
+    # adjacency[i] lists flat triples j, a, b with c(j) = c(i) * a/b
     adjacency = [[] for _ in range(window.size)]
     for n, m, (rn, rd) in edges:
-        # c(m) = c(n) * rd/rn and c(n) = c(m) * rn/rd
-        adjacency[n + bound].append((m + bound, rd, rn))
-        adjacency[m + bound].append((n + bound, rn, rd))
+        adjacency[n + bound] += m + bound, rd, rn
+        adjacency[m + bound] += n + bound, rn, rd
     scales = [None] * window.size
     scales[0] = (1, 1)
     stack = [0]
     while stack:
         i = stack.pop()
         num, den = scales[i]
-        for j, a, b in adjacency[i]:
+        for j, a, b in zip(*[iter(adjacency[i])] * 3):
             # c(j) = c(i) * a/b
             known = scales[j]
             if known is None:
@@ -672,6 +698,15 @@ def _chain_scales(window, edges):
     return scales
 
 
+def _i_edges(i_steps, f):
+    """The (source, target, ratio) edge of each I step: its coefficient
+    over f, as a pair of integers.  The edges are made as the chain reads
+    them, so a chain that raises leaves no list of them in the frames its
+    traceback keeps alive."""
+    fn, fd = f.as_integer_ratio()
+    return ((n, m, (num * fd, den * fn)) for n, m, (num, den) in i_steps)
+
+
 def _d_edges(d_steps, window, alpha, beta):
     """The (source, target, ratio) edge of each d step for the slope beta:
     its coefficient over the unscaled one, as a pair of integers.  The
@@ -682,11 +717,12 @@ def _d_edges(d_steps, window, alpha, beta):
     P, base, Q = _integer_action(alpha, beta, window.step)
     base = cache(base)
     edges = []
-    for key, n, m, (num, den) in d_steps:
-        expected = base(m - n) + n * Q
+    for g, n, m, (num, den) in d_steps:
+        expected = base(g) + n * Q
         if expected == 0:
             raise NotIntermediateSeriesError(
-                "entry %s at %s is nonzero where the action must vanish" % (key, n * window.step)
+                "entry %s at %s is nonzero where the action must vanish"
+                % (_generator_key(window, 0, g), n * window.step)
             )
         edges.append((n, m, (num * P, den * expected)))
     return edges
@@ -712,7 +748,9 @@ def recover_params(table):
     with scale 1.  Either way the chain compares each entry once, also an
     I and a d entry on one pair of indices.
 
-    The entries, the edge ratios and the chain's scales are integer
+    The entries are keyed by ints, so an entry (r, g, n) -> m is graded
+    when m - n == g, and the loop path finds the reverse step at
+    (0, -g, m).  The edge ratios and the chain's scales are integer
     pairs: alpha is compared across the d(0) entries as a reduced pair,
     and ``Fraction`` is used only for the scalars alpha, beta and f, the
     loop path's discriminant, and the returned ``ModuleParams`` and
@@ -723,20 +761,18 @@ def recover_params(table):
     """
     window = table.window
     entries = table._entries
-    bound = window.bound
-    index = dict(zip(range(-bound, bound + 1), window.indices()))
-    positions = cache(lambda key: window._position(key.index))
-    sn, sd = window.step.as_integer_ratio()
+    bound, step = window.bound, window.step
+    index = dict(enumerate(window.indices(), -bound))
+    sn, sd = step.as_integer_ratio()
     alphas, fs, i_steps, d_items = set(), set(), [], []
     for item in entries.items():
-        (key, n), (m, coeff) = item
-        g = positions(key)
+        (r, g, n), (m, coeff) = item
         if m - n != g:
             raise NotIntermediateSeriesError(
                 "entry %s at %s lands at %s; the grading requires %s"
-                % (key, index[n], index[m], index[n] + key.index)
+                % (_generator_key(window, r, g), index[n], index[m], index[n] + g * step)
             )
-        if key.kind == "d":
+        if not r:
             if g:
                 d_items.append(item)
             else:
@@ -759,39 +795,33 @@ def recover_params(table):
             "I entries present although the I(0) eigenvalue is absent"
         )
 
-    fn, fd = f.as_integer_ratio()
-    i_edges = [(n, m, (num * fd, den * fn)) for n, m, (num, den) in i_steps]
-    d_steps = [row[1:] for row in _printed_order(d_items)]
-
-    if f:
-        try:
-            scales = _chain_scales(window, i_edges)
-        except AmbiguousTableError:
-            scales = None
-        if scales is not None and d_steps:
-            key, n, m, coeff = d_steps[0]
-            unscaled = Fraction(*coeff) * Fraction(*scales[m + bound]) / Fraction(*scales[n + bound])
-            beta = (unscaled - d_coefficient(alpha, 0, index[n], key.index)) / key.index
-            for n, m, (rn, rd) in _d_edges(d_steps, window, alpha, beta):
-                # c(m) must be c(n) * rd/rn
-                (an, ad), (bn, bd) = scales[n + bound], scales[m + bound]
-                if bn * ad * rn != bd * an * rd:
-                    raise NotIntermediateSeriesError(
-                        "inconsistent scale chain at index %s" % index[m]
-                    )
-            return ModuleParams(alpha, beta, f, window.group), _scales_dict(index, scales)
+    try:
+        scales = _chain_scales(window, _i_edges(i_steps, f)) if f else None
+    except AmbiguousTableError:
+        scales = None
+    d_steps = [row[1:] for row in _printed_order(window, d_items)]
+    if scales is not None and d_steps:
+        g, n, m, coeff = d_steps[0]
+        unscaled = Fraction(*coeff) * Fraction(*scales[m + bound]) / Fraction(*scales[n + bound])
+        beta = (unscaled - d_coefficient(alpha, 0, index[n], g * step)) / (g * step)
+        for n, m, (rn, rd) in _d_edges(d_steps, window, alpha, beta):
+            # c(m) must be c(n) * rd/rn
+            (an, ad), (bn, bd) = scales[n + bound], scales[m + bound]
+            if bn * ad * rn != bd * an * rd:
+                raise NotIntermediateSeriesError("inconsistent scale chain at index %s" % index[m])
+        return ModuleParams(alpha, beta, f, window.group), _scales_dict(index, scales)
 
     # beta from a scale-free loop product of two opposite d steps; the
     # grading check makes the reverse step land back on the source
-    for key, n, m, coeff in d_steps:
-        back = entries.get((d(-key.index), m))
+    for g, n, m, coeff in d_steps:
+        back = entries.get((0, -g, m))
         if back is not None:
             break
     else:
         raise AmbiguousTableError("no d-generator data determines the coefficient slope")
     # the loop product is (a + p*beta)(a + p - p*beta) with a = alpha + q,
     # its beta-free part the product of the two coefficients at beta = 0
-    p, q = key.index, index[n]
+    p, q = g * step, index[n]
     loop = d_coefficient(alpha, 0, q, p) * d_coefficient(alpha, 0, q + p, -p)
     curvature = (Fraction(*coeff) * Fraction(*back[1]) - loop) / (p * p)
     disc = _rational_sqrt(1 - 4 * curvature)
@@ -799,7 +829,8 @@ def recover_params(table):
         raise NotIntermediateSeriesError("loop products admit no rational coefficient slope")
     for beta in sorted({(1 - disc) / 2, (1 + disc) / 2}):
         try:
-            scales = _chain_scales(window, i_edges + _d_edges(d_steps, window, alpha, beta))
+            edges = chain(_i_edges(i_steps, f), _d_edges(d_steps, window, alpha, beta))
+            scales = _chain_scales(window, edges)
         except (NotIntermediateSeriesError, AmbiguousTableError) as exc:
             error = exc
             continue

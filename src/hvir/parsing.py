@@ -22,8 +22,9 @@ from fractions import Fraction
 from functools import cache
 from math import inf
 
-from .algebra import CD, CDI, CI, AlgebraElement, I, d
-from .analysis import ActionTable, Window, _checked_entries, _printed_order, _reduced
+from .algebra import AlgebraElement, BasisKey
+from .analysis import (ActionTable, Window, _checked_entries, _generator, _generator_key,
+                       _printed_order, _reduced)
 from .errors import ParseError
 from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
 from .intermediate import ModuleParams
@@ -158,13 +159,9 @@ def _parse_atom(s):
         s.expect("(")
         index = s.rational()
         s.expect(")")
-        return d(index) if name == "d" else I(index)
-    if name == "CD":
-        return CD
-    if name == "CDI":
-        return CDI
-    if name == "CI":
-        return CI
+        return BasisKey(name, index)
+    if name in ("CD", "CDI", "CI"):
+        return BasisKey(name)
     s.error("expected a basis symbol", start)
 
 
@@ -279,11 +276,11 @@ def parse_table(text):
     The first non-blank line is ``window <groupspec> <bound>``; every
     following non-blank line is ``<generator> <source> <target>
     <coefficient>`` with whitespace-separated fields.  Per-call
-    ``functools.cache`` readers parse each distinct generator field once,
-    read each distinct source or target field to its window position
-    once, and each distinct coefficient field to its reduced integer
-    pair (num, den) once; the entries are checked by the one check of
-    ``ActionTable``.
+    ``functools.cache`` readers read each distinct generator field to its
+    ints (r, g) once, each distinct source or target field to its window
+    position once, and each distinct coefficient field to its reduced
+    integer pair (num, den) once; the entries are checked by the one
+    check of ``ActionTable``.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -298,20 +295,19 @@ def parse_table(text):
         raise ParseError("table windows require a cyclic group spec")
     window = Window(group, bound)
     entries = {}
-    keys = cache(lambda text: _field(text, _parse_atom, "generator"))
+    generators = cache(lambda text: _generator(window, _field(text, _parse_atom, "generator")))
     positions = cache(lambda text: window._position(parse_rational(text)))
     coefficients = cache(_parse_ratio)
     for line in lines[1:]:
         fields = line.split()
         if len(fields) != 4:
             raise ParseError("table line needs 4 fields, got %r" % line)
-        key = keys(fields[0])
-        n = positions(fields[1])
-        m = positions(fields[2])
-        coeff = coefficients(fields[3])
-        if (key, n) in entries:
-            raise ParseError("duplicate table entry for %s at %s" % (key, n * window.step))
-        entries[(key, n)] = (m, coeff)
+        key = (*generators(fields[0]), positions(fields[1]))
+        value = (positions(fields[2]), coefficients(fields[3]))
+        if key in entries:
+            raise ParseError("duplicate table entry for %s at %s"
+                             % (_generator_key(window, *key[:2]), key[2] * window.step))
+        entries[key] = value
     try:
         return ActionTable._trusted(window, _checked_entries(window, entries.items()))
     except ValueError as exc:
@@ -324,11 +320,10 @@ def format_table(table):
     coefficient pair is printed once."""
     window = table.window
     lines = ["window %s %d" % (window.group, window.bound)]
-    # the printed index of each position, offset by the bound
-    labels = [str(q) for q in window.indices()]
+    # the printed index of each position
+    labels = {n: str(q) for n, q in enumerate(window.indices(), -window.bound)}
     # a reduced pair prints as its Fraction does
     texts = cache(lambda coeff: str(coeff[0]) if coeff[1] == 1 else "%d/%d" % coeff)
-    bound = window.bound
-    for name, _, n, m, coeff in _printed_order(table._entries.items()):
-        lines.append("%s %s %s %s" % (name, labels[n + bound], labels[m + bound], texts(coeff)))
+    for name, _, n, m, coeff in _printed_order(window, table._entries.items()):
+        lines.append("%s %s %s %s" % (name, labels[n], labels[m], texts(coeff)))
     return "\n".join(lines) + "\n"

@@ -425,6 +425,17 @@ def reference_transported_table(params, m, bound):
     return ActionTable(window_z, entries)
 
 
+def reference_format_table(table):
+    """Oracle for ``format_table``: the table's ``Fraction``-keyed
+    ``entries``, one line each, sorted by the printed generator and then
+    by the source, every field printed by ``str``."""
+    window = table.window
+    rows = sorted(table.entries.items(), key=lambda item: (str(item[0][0]), item[0][1]))
+    lines = ["window %s %d\n" % (window.group, window.bound)]
+    lines += ["%s %s %s %s\n" % (key, src, tgt, coeff) for (key, src), (tgt, coeff) in rows]
+    return "".join(lines)
+
+
 def reference_intertwiner_check(p1, p2, shift, window):
     """Oracle for ``intertwiner_check``: every generator index of
     ``window.steps()`` at every source, counting off-diagonal comparisons."""
@@ -635,21 +646,21 @@ def chain_iso_scales(p1, p2, shift, window):
     and the pair is isomorphic on the window exactly when the chain is
     consistent and connects the window.  ``shift`` is a multiple of the
     window step."""
-    k = int(Fraction(shift) / window.step)
-    wide = Window(window.group, window.bound + abs(k))
-    ones = intermediate_series_table(p1, window)._entries
-    twos = intermediate_series_table(p2, wide)._entries
-    span = range(-window.bound, window.bound + 1)
+    shift = Fraction(shift)
+    wide = Window(window.group, window.bound + abs(int(shift / window.step)))
+    ones = intermediate_series_table(p1, window).entries
+    twos = intermediate_series_table(p2, wide).entries
     # p2's entries relabelled by the shift, kept where both ends stay inside
-    relabelled = {(key, n + k): (m + k, coeff) for (key, n), (m, coeff) in twos.items()
-                  if n + k in span and m + k in span}
+    relabelled = {(key, q + shift): (t + shift, coeff) for (key, q), (t, coeff) in twos.items()
+                  if q + shift in window and t + shift in window}
     if set(ones) != set(relabelled):
         return None
+    at = window._position
     edges = []
-    for entry, (m, (num1, den1)) in ones.items():
-        m2, (num2, den2) = relabelled[entry]
-        assert m2 == m
-        edges.append((entry[1], m, (num1 * den2, den1 * num2)))
+    for (key, q), (t, coeff) in ones.items():
+        t2, coeff2 = relabelled[key, q]
+        assert t2 == t
+        edges.append((at(q), at(t), (coeff / coeff2).as_integer_ratio()))
     try:
         scales = _chain_scales(window, edges)
     except (NotIntermediateSeriesError, AmbiguousTableError):

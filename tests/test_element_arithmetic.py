@@ -168,6 +168,27 @@ class TestCanonicalForm:
             assert list(value._num) == sorted(value._num) and 0 not in value._num.values()
             assert hash(value) == hash(rebuilt)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(mixed_indices.map(d), mixed_indices.map(I), central),
+           st.one_of(small_fractions, st.integers(-9, 9)))
+    def test_basis_is_the_one_term_element(self, key, coeff):
+        # basis builds its integer form directly, without the summing
+        # constructor
+        x, y = AlgebraElement.basis(key, coeff), AlgebraElement([(key, coeff)])
+        assert (x._L, x._D, x._num) == (y._L, y._D, y._num)
+        assert_same(x, ReferenceElement([(key, coeff)]))
+
+    @pytest.mark.parametrize("key,coeff,message", [
+        ("d(1)", 1, "term keys must be BasisKey, got 'd(1)'"),
+        (d(1), 0.5, "expected an exact rational, got 0.5"),
+    ])
+    def test_basis_refuses_what_the_constructor_refuses(self, key, coeff, message):
+        for build in (lambda: AlgebraElement.basis(key, coeff),
+                      lambda: AlgebraElement([(key, coeff)])):
+            with pytest.raises(TypeError) as exc:
+                build()
+            assert str(exc.value) == message
+
     def test_mixed_denominators_reduce(self):
         x = AlgebraElement([(d(F(1, 2)), F(1, 3)), (I(F(1, 3)), F(1, 4)), (CD, 1)])
         y = AlgebraElement([(I(F(1, 3)), F(1, 4)), (CD, 1)])

@@ -8,6 +8,7 @@ import hvir.cli
 from hvir import (
     CD,
     AlgebraElement,
+    AmbiguousTableError,
     FULL_Q,
     GroupMismatchError,
     ModuleParams,
@@ -70,6 +71,28 @@ class TestAnalysis:
     def test_recover_f(self, lines, expected):
         table = parse_table("window qk:0 1\n" + lines)
         assert message(NotIntermediateSeriesError, recover_params, table) == expected
+
+    def test_recover_d_entry_where_the_action_vanishes(self):
+        # the I entries fix every scale to 1 and d(-1) at 0 fixes beta = 1,
+        # so d(1) acts on v(-1) by alpha - 1 + beta = 0
+        table = parse_table(
+            "window qk:0 1\nd(0) -1 -1 -1\nd(0) 1 1 1\n"
+            "I(0) -1 -1 1\nI(0) 0 0 1\nI(0) 1 1 1\nI(1) -1 0 1\nI(1) 0 1 1\n"
+            "d(-1) 0 -1 -1\nd(1) -1 0 3\n"
+        )
+        assert message(NotIntermediateSeriesError, recover_params, table) == (
+            "entry d(1) at -1 is nonzero where the action must vanish"
+        )
+
+    def test_recover_unreachable_index(self):
+        # V(1/5, 2, 0) on the bound-1 window with d steps between 0 and 1 only
+        table = parse_table(
+            "window qk:0 1\nd(0) -1 -1 -4/5\nd(0) 0 0 1/5\nd(0) 1 1 6/5\n"
+            "d(1) 0 1 11/5\nd(-1) 1 0 -4/5\n"
+        )
+        assert message(AmbiguousTableError, recover_params, table) == (
+            "entries do not connect the window; index 0 is unreachable"
+        )
 
     def test_restriction_window_on_another_group(self):
         params = ModuleParams(F(1, 3), F(1, 2), 0, qk(0))

@@ -38,6 +38,7 @@ from helpers import (
     reference_restriction_report,
     reference_series_table,
     reference_transported_table,
+    reference_format_table,
     reference_window_contains,
     stray_i_entry_table,
 )
@@ -445,6 +446,35 @@ class TestWindowMembership:
         assert F(2) in window and F(-2) in window
         assert F(8, 3) not in window and F(-8, 3) not in window
         assert F(1, 3) not in window and 0 in window and 2 in window
+
+
+@st.composite
+def off_step_tables(draw):
+    """A table built by ``ActionTable(window, entries)`` whose generator
+    indices may lie off the step's multiples (d(1/3) on a qk:0 window) and
+    whose entries need not be graded; zero coefficients are dropped."""
+    window = Window(draw(st.sampled_from(TABLE_GROUPS)), draw(st.integers(1, 3)))
+    indices = st.sampled_from(window.indices())
+    generators = st.builds(lambda kind, q: kind(q), st.sampled_from([d, I]),
+                           st.one_of(st.sampled_from(window.steps()), small_fractions))
+    entries = draw(st.dictionaries(st.tuples(generators, indices),
+                                   st.tuples(indices, small_fractions), max_size=12))
+    return ActionTable(window, entries)
+
+
+class TestOffStepRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(off_step_tables())
+    @example(ActionTable(Window(qk(0), 2), {
+        (d(F(1, 3)), F(0)): (F(1), F(2)),
+        (I(F(-1, 2)), F(1)): (F(-2), F(1, 3)),
+        (d(F(1)), F(1)): (F(1), F(-4, 6)),
+    }))
+    def test_round_trip(self, table):
+        assert ActionTable(table.window, table.entries) == table
+        text = format_table(table)
+        assert text == reference_format_table(table)
+        assert parse_table(text) == table
 
 
 class TestTableCheck:
