@@ -10,9 +10,13 @@ bases.  Action tables are keyed by ints: the entry (r, g, n) -> (m,
 basis vector at n*step to num/den times the one at m*step, with the
 coefficient a reduced integer pair, den > 0.  ``BasisKey`` and
 ``Fraction`` appear only at the edges: in a table's input and its
-``entries``, and in printed names and messages.  Table builders walk
-(source, target) pairs of window positions and compute the scaled
-integer d-coefficient at source 0 of each of the 4B+1 steps once.
+``entries``, and in printed names and messages.  Every integer
+evaluation of the d-action, in the scan's reachability, the table
+builder, the intertwiner check and recovery, calls ``d_coefficient`` on
+the integer form of :func:`hvir.intermediate._integer_action`.  Table
+builders walk (source, target) pairs of window positions, and the
+series table computes the coefficient at source 0 of each of the 4B+1
+steps once.
 Recovery sorts the entries in one pass, grades each as m - n == g, and
 compares each once, as an edge of a scale chain of integer pairs;
 intertwiner checks compare each pair of window positions once, in
@@ -54,6 +58,7 @@ from .intermediate import (
     VERDICT_IRREDUCIBLE,
     VERDICT_TRIVIAL_SUB,
     WeightVector,
+    _integer_action,
     _require_qk,
     _require_same_group,
     act,
@@ -82,6 +87,13 @@ __all__ = [
 # is expanded once, and an expansion stops when the whole window is
 # reached.
 MAX_WINDOW_BOUND = 2048
+
+# Largest window bound of a built action table.  The table builders do
+# O(B^2) work and make O(B^2) entries: at B = 64 a transported table
+# takes about 0.7 s and 12 MB, a quarter of its cost at B = 128, on a
+# 2-vCPU host under Python 3.11.  Tables read from text are bounded by
+# their input instead.
+MAX_TABLE_BOUND = 64
 
 
 class Window(Frozen):
@@ -215,6 +227,13 @@ class Subspace:
         return "Subspace(dim=%d, pivots=%s)" % (self.dimension, self.pivots())
 
 
+def _require_table_bound(bound):
+    if bound > MAX_TABLE_BOUND:
+        raise ValueError(
+            "table window bound %d exceeds the cap of %d" % (bound, MAX_TABLE_BOUND)
+        )
+
+
 def _require_window_inside(params, window):
     if not is_subgroup(window.group, params.group):
         raise GroupMismatchError(
@@ -226,29 +245,30 @@ def _require_window_inside(params, window):
 def _adjacency(params, window):
     """One-step reachability between window positions, one bitmask each.
 
-    Position n + bound holds the index q = n*step.  From q, I(t - q)
-    reaches every t when f != 0, and d(t - q) reaches t = m*step with
-    the coefficient d_coefficient(alpha, beta, q, t - q).  With beta = u/v
-    in lowest terms and k = -alpha*v/step that coefficient is
-    step/v * ((v - u)*n + u*m - k), so it never vanishes unless k is an
-    integer, and then it vanishes on at most one target m, or on all of
-    them when u == 0 and n == k.  Only these zeros are computed, in
-    integers; the coefficients themselves are never evaluated.
+    Position n + bound holds the index n*step.  From it, I reaches every
+    position when f != 0, and d reaches the position m unless the
+    coefficient vanishes.  P times that coefficient is
+    d_coefficient(alpha_P, beta_P, n*Q, m - n) (see
+    :func:`_integer_action`), which is linear in m with slope beta_P, so
+    each row loses at most one target, or all of them when beta_P == 0
+    and the value is 0.  By Bezout no row loses a target unless
+    gcd(Q, beta_P) divides alpha_P.
     """
     bound = window.bound
     full = (1 << window.size) - 1
     rows = [full] * window.size
-    u, v = params.beta.numerator, params.beta.denominator
-    k = _multiple(-params.alpha * v, window.step)
-    if params.f or k is None:
+    _, alpha_P, beta_P, Q = _integer_action(params.alpha, params.beta, window.step)
+    if params.f or alpha_P % gcd(Q, beta_P):
         return rows
     for n in range(-bound, bound + 1):
-        rest = k - (v - u) * n
-        if u == 0:
-            if rest == 0:
-                rows[n + bound] = 0
-        elif rest % u == 0 and abs(rest // u) <= bound:
-            rows[n + bound] ^= 1 << (rest // u + bound)
+        # the value at m = 0; the zero lies at m = value / -beta_P
+        value = d_coefficient(alpha_P, beta_P, n * Q, -n)
+        if beta_P:
+            m, r = divmod(value, -beta_P)
+            if not r and -bound <= m <= bound:
+                rows[n + bound] ^= 1 << (m + bound)
+        elif not value:
+            rows[n + bound] = 0
     return rows
 
 
@@ -421,12 +441,13 @@ def intertwiner_check(p1, p2, shift, window, scales=None):
     if p1.f != p2.f or s is None or abs(s) >= 2 * bound:
         return False
     run = range(max(-bound, s - bound), min(bound, s + bound) + 1)
-    P1, base1, Q1 = _integer_action(p1.alpha, p1.beta, window.step)
-    P2, base2, Q2 = _integer_action(p2.alpha, p2.beta, window.step)
+    P1, alpha1, beta1, Q1 = _integer_action(p1.alpha, p1.beta, window.step)
+    P2, alpha2, beta2, Q2 = _integer_action(p2.alpha, p2.beta, window.step)
     for n, m in product(run, run):
         # from q = n*step to t = m*step: coeff1 * c(t) == c(q) * coeff2
         (an, ad), (bn, bd) = c[n + bound], c[m + bound]
-        if ((base1(m - n) + n * Q1) * P2 * bn * ad != (base2(m - n) + (n - s) * Q2) * P1 * an * bd
+        if (d_coefficient(alpha1, beta1, n * Q1, m - n) * P2 * bn * ad
+                != d_coefficient(alpha2, beta2, (n - s) * Q2, m - n) * P1 * an * bd
                 or p1.f and bn * ad != an * bd):
             return False
     return True
@@ -514,8 +535,10 @@ def _generator(window, key):
 
 
 def _generator_key(window, r, g):
-    """The key of the generator (r, g), for names and messages."""
-    return BasisKey(_KINDS[r], g * window.step) if r < 2 else g
+    """The key of the generator (r, g), for names and messages; the index
+    is built as in :meth:`Window._multiples`, also for a non-integer g."""
+    num, den = window.step.numerator, window.step.denominator
+    return BasisKey(_KINDS[r], Fraction(g * num, den)) if r < 2 else g
 
 
 def _checked_entries(window, items):
@@ -564,21 +587,6 @@ def _scale_factors(window, scales):
     return [c[q].as_integer_ratio() for q in indices]
 
 
-def _integer_action(alpha, beta, step):
-    """``(P, base, Q)`` with P > 0 and P * d_coefficient(alpha, beta,
-    n*step, j*step) == base(j) + n*Q for all ints n and j.
-
-    Times P = ad*bd*sd, alpha, the index n*step and j*step*beta are the
-    integers alpha_P, n*Q and j*beta_P, so by the linearity of
-    :func:`d_coefficient` the coefficient is d_coefficient(alpha_P,
-    beta_P, n*Q, j), as in :func:`act`."""
-    an, ad = alpha.numerator, alpha.denominator
-    bn, bd = beta.numerator, beta.denominator
-    sn, sd = step.numerator, step.denominator
-    alpha_P, beta_P = an * bd * sd, sn * bn * ad
-    return ad * bd * sd, lambda j: d_coefficient(alpha_P, beta_P, 0, j), sn * ad * bd
-
-
 def intermediate_series_table(params, window, scales=None):
     """Action table of the module on a window of its own index group.
 
@@ -590,13 +598,15 @@ def intermediate_series_table(params, window, scales=None):
     reduces the pair with one gcd.
     """
     _require_window_inside(params, window)
+    bound = window.bound
+    _require_table_bound(bound)
     c = _scale_factors(window, scales)
     fn, fd = params.f.as_integer_ratio()
-    bound = window.bound
     positions = range(-bound, bound + 1)
-    P, base, Q = _integer_action(params.alpha, params.beta, window.step)
-    # steps[2B + g] is the step g = m - n from position n to position m
-    steps = [(g, base(g)) for g in range(-2 * bound, 2 * bound + 1)]
+    P, alpha_P, beta_P, Q = _integer_action(params.alpha, params.beta, window.step)
+    # steps[2B + g] is the step g = m - n from position n to position m,
+    # with P times its coefficient at position 0
+    steps = [(g, d_coefficient(alpha_P, beta_P, 0, g)) for g in range(-2 * bound, 2 * bound + 1)]
     entries = {}
     for n, (an, ad) in zip(positions, c):
         for m, (g, coeff), (bn, bd) in zip(positions, steps[bound - n:], c):
@@ -623,6 +633,7 @@ def transported_table(params, m, bound):
     """
     _require_qk(params, m, "transport")
     window_z = Window(INTEGERS, bound)
+    _require_table_bound(bound)
     phi = RescalingMap(m, CENTERLESS)
     M = phi.scale.numerator
     positions = range(-bound, bound + 1)
@@ -709,16 +720,13 @@ def _i_edges(i_steps, f):
 
 def _d_edges(d_steps, window, alpha, beta):
     """The (source, target, ratio) edge of each d step for the slope beta:
-    its coefficient over the unscaled one, as a pair of integers.  The
-    unscaled coefficient is an integer over P (see
-    :func:`_integer_action`); a per-call ``functools.cache`` evaluates
-    it at source 0 once per generator, and n*Q is added for each source
-    n."""
-    P, base, Q = _integer_action(alpha, beta, window.step)
-    base = cache(base)
+    its coefficient over the unscaled one, as a pair of integers.  P times
+    the unscaled coefficient is d_coefficient(alpha_P, beta_P, n*Q, g)
+    (see :func:`_integer_action`)."""
+    P, alpha_P, beta_P, Q = _integer_action(alpha, beta, window.step)
     edges = []
     for g, n, m, (num, den) in d_steps:
-        expected = base(g) + n * Q
+        expected = d_coefficient(alpha_P, beta_P, n * Q, g)
         if expected == 0:
             raise NotIntermediateSeriesError(
                 "entry %s at %s is nonzero where the action must vanish"

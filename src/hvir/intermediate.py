@@ -59,8 +59,9 @@ __all__ = [
 
 
 class ModuleParams(Frozen):
-    # _ints is a cache, not a field: the numerators and denominators
-    # (an, ad, bn, bd, fn, fd) of alpha, beta and f, which act reads
+    # _ints is a cache, not a field: the unit-step integer form
+    # (S, alpha_S, beta_S, Q) of the d-action (see _integer_action) and
+    # the numerator and denominator of f, which act reads
     __slots__ = ("alpha", "beta", "f", "group", "_ints")
 
     def __init__(self, alpha, beta, f, group):
@@ -74,8 +75,7 @@ class ModuleParams(Frozen):
         set_field(self, "beta", beta)
         set_field(self, "f", f)
         set_field(self, "group", group)
-        set_field(self, "_ints", (alpha.numerator, alpha.denominator, beta.numerator,
-                                  beta.denominator, f.numerator, f.denominator))
+        set_field(self, "_ints", (*_integer_action(alpha, beta, 1), f.numerator, f.denominator))
 
     def __str__(self):
         return "%s,%s,%s@%s" % (self.alpha, self.beta, self.f, self.group)
@@ -86,11 +86,25 @@ def d_coefficient(alpha, beta, q, g):
 
     It is linear in (alpha, q, g*beta): scaling alpha, q and the product
     g*beta by one common factor scales the coefficient by it, which lets
-    :func:`act` evaluate it on integers.  It is also alpha + g*beta plus
-    q, so the table path evaluates it at q = 0 once per step or generator
-    and adds each source.
+    every integer evaluation run on the form of :func:`_integer_action`.
+    It is also alpha + g*beta plus q, so the table builder evaluates it
+    at q = 0 once per step and adds each source.
     """
     return alpha + q + g * beta
+
+
+def _integer_action(alpha, beta, step):
+    """The d-action in integers: ``(P, alpha_P, beta_P, Q)`` with P > 0 and
+    P * d_coefficient(alpha, beta, n*step, j*step) ==
+    d_coefficient(alpha_P, beta_P, n*Q, j) for all ints n and j.
+
+    Times P = ad*bd*sd, alpha, the index n*step and j*step*beta are the
+    integers alpha_P, n*Q and j*beta_P, so the linearity of
+    :func:`d_coefficient` gives the identity."""
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    sn, sd = step.numerator, step.denominator
+    return ad * bd * sd, an * bd * sd, sn * bn * ad, sn * ad * bd
 
 
 class WeightVector(_IntegerSum):
@@ -243,7 +257,7 @@ def act(params, x, v):
     window truncation.
 
     The work is done on the integers of ``x``, ``v`` and the module,
-    whose six integers are read off ``params`` once per ``ModuleParams``.
+    whose integer form is read off ``params`` once per ``ModuleParams``.
     One membership test covers all of the indices of ``x``, and it runs
     once per element per group object: ``x`` remembers the last group
     that passed it, by identity, and any other group is tested in full.
@@ -266,20 +280,17 @@ def act(params, x, v):
         scale = L // v._L
         source = {k * scale: c for k, c in source.items()}
     sx = L // x._L
-    an, ad, bn, bd, fn, fd = params._ints
-    # times P = ad*bd*L, alpha, the index k/L and g*beta are the integers
-    # alpha_P, k*S and gk*beta_P, so P times each d-coefficient is one too
-    S = ad * bd
-    P = S * L
-    alpha_P = an * bd * L
-    beta_P = bn * ad
+    S, alpha_S, beta_P, Q, fn, fd = params._ints
+    # the unit-step form taken to the step 1/L: by linearity P times the
+    # coefficient of d(gk/L) at v(k/L) is d_coefficient(alpha_P, beta_P, k*Q, gk)
+    P, alpha_P = S * L, alpha_S * L
     acc = {}
     for r, gk, c in gens:
         gk *= sx
         if r == 0:
             c *= fd
             for k, cv in source.items():
-                w = d_coefficient(alpha_P, beta_P, k * S, gk)
+                w = d_coefficient(alpha_P, beta_P, k * Q, gk)
                 if w:
                     t = k + gk
                     acc[t] = acc.get(t, 0) + c * cv * w

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hvir import (
     ActionTable,
@@ -42,7 +42,7 @@ from hvir import (
     transported_table,
 )
 from hvir import analysis
-from hvir.analysis import MAX_WINDOW_BOUND, _adjacency
+from hvir.analysis import MAX_TABLE_BOUND, MAX_WINDOW_BOUND, _adjacency
 from helpers import (
     rand_fraction,
     rand_nonzero_fraction,
@@ -415,6 +415,22 @@ class TestActionTables:
                 direct = intermediate_series_table(pullback_params(p, m), window_z(4))
                 assert transported == direct
 
+    def test_builders_stop_past_the_table_cap(self):
+        # both builders do O(B^2) work, so they refuse a bound past the cap
+        # before building anything; a table read from entries is not capped
+        bound = MAX_TABLE_BOUND + 1
+        text = "table window bound %d exceeds the cap of %d" % (bound, MAX_TABLE_BOUND)
+        p = ModuleParams(F(1, 5), F(2), F(3), qk(2))
+        began = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            intermediate_series_table(p, window_z(bound))
+        assert str(info.value) == text
+        with pytest.raises(ValueError) as info:
+            transported_table(p, 2, bound)
+        assert str(info.value) == text
+        assert time.perf_counter() - began < 0.5
+        assert len(ActionTable(window_z(bound), {(d(0), F(0)): (F(0), F(1))})) == 1
+
 
 class TestRecover:
     def test_pristine_table(self):
@@ -766,6 +782,11 @@ class TestClosureOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(oracle_cases())
+    # alpha off the lattice: gcd(Q, beta_P) does not divide alpha_P, so no
+    # row loses a target
+    @example((ModuleParams(F(1, 7), F(1, 3), F(0), Z), Window(Z, 4)))
+    # beta = 1/2 at alpha = 0: the row at n loses the target -n
+    @example((ModuleParams(F(0), F(1, 2), F(0), Z), Window(Z, 4)))
     def test_adjacency_matches_edge_definition(self, case):
         # q -> t (t != q) exactly when f != 0 or alpha + q + (t-q)*beta != 0
         params, window = case

@@ -7,6 +7,7 @@ import pytest
 import hvir.cli
 from hvir import (
     CD,
+    ActionTable,
     AlgebraElement,
     AmbiguousTableError,
     FULL_Q,
@@ -14,11 +15,17 @@ from hvir import (
     ModuleParams,
     NotIntermediateSeriesError,
     ParseError,
+    WeightVector,
     Window,
+    act,
     align_extension,
     basis_vector,
     closure,
+    contains,
     cyclic,
+    d,
+    finitely_generated,
+    in_subalgebra,
     intermediate_series_table,
     intertwiner_check,
     iso_check,
@@ -231,6 +238,25 @@ class TestParser:
         assert message(NotIntermediateSeriesError, recover_params, table) == (
             "entry d(1/2) at 0 lands at 1; the grading requires 1/2"
         )
+
+
+class TestArgumentChecks:
+    # the type and range checks of the library's entry points
+    PARAMS = ModuleParams(0, 1, 2, qk(0))
+
+    @pytest.mark.parametrize("call,exc_type,expected", [
+        (lambda p: act(p, "d(1)", basis_vector(p, 0)), TypeError,
+         "expected an algebra element, got 'd(1)'"),
+        (lambda p: in_subalgebra(d(1), "Q"), TypeError, "expected a subgroup spec, got 'Q'"),
+        (lambda p: ActionTable(None, {}), TypeError, "expected a Window"),
+        (lambda p: WeightVector(None), TypeError, "params must be ModuleParams"),
+        (lambda p: qk(-1), ValueError, "qk index must be a non-negative integer"),
+        (lambda p: contains("Q", 1), TypeError, "not a subgroup spec: 'Q'"),
+        (lambda p: finitely_generated("Q"), TypeError, "not a subgroup spec: 'Q'"),
+    ], ids=["act-element", "in_subalgebra-group", "ActionTable-window", "WeightVector-params",
+            "qk-negative", "contains-group", "finitely_generated-group"])
+    def test_message(self, call, exc_type, expected):
+        assert message(exc_type, call, self.PARAMS) == expected
 
 
 class TestCli:

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvir import cyclic, subgroup_sum, supernatural
-from hvir.groups import MAX_FACTOR_WORK, _Budget, _exact_root, _factorint, _is_prime
+from hvir import groups
+from hvir.groups import (
+    _SPRP_BASES,
+    MAX_FACTOR_WORK,
+    _Budget,
+    _exact_root,
+    _factorint,
+    _is_prime,
+    _probable_prime,
+)
 
 # below and above the trial-division bound of 10**5
 SMALL_PRIMES = [2, 3, 5, 997, 1009, 65537, 99991]
@@ -50,6 +59,19 @@ class TestBoundedFactoring:
             "factoring a %d-bit denominator exceeds the budget of %d work units"
             % (leftover.bit_length(), MAX_FACTOR_WORK)
         )
+
+    def test_probable_prime_test_that_the_budget_cannot_pay_never_runs(self, monkeypatch):
+        m = 2 ** 127 - 1
+        budget = _Budget(m)
+        budget.left = len(_SPRP_BASES) * budget.cost(m, steps=m.bit_length()) - 1
+        left = budget.left
+
+        def never(m, a):
+            raise AssertionError("a strong-probable-prime test ran")
+
+        monkeypatch.setattr(groups, "_is_strong_probable_prime", never)
+        assert _probable_prime(m, budget) is False
+        assert budget.left == left
 
     def test_probable_prime_above_psi_13_fails_at_once(self):
         began = time.perf_counter()

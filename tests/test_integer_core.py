@@ -28,6 +28,7 @@ from hvir import (
     qk,
     supernatural,
 )
+from hvir.intermediate import _integer_action, d_coefficient
 from helpers import (
     ReferenceSubspace,
     ReferenceVector,
@@ -267,6 +268,23 @@ class TestRepresentationIdentity:
         v = WeightVector(params, data.draw(entry_lists(indices)))
         commutator = act(params, x, act(params, y, v)) - act(params, y, act(params, x, v))
         assert act(params, bracket(x, y), v) == commutator
+
+
+class TestIntegerAction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(F, st.integers(-50, 50), st.integers(1, 50)),
+           st.one_of(st.just(F(0)), st.builds(F, st.integers(-50, 50), st.integers(1, 50))),
+           st.one_of(st.just(1), st.builds(F, st.integers(1, 50), st.integers(1, 50))),
+           st.integers(-60, 60), st.integers(-60, 60))
+    def test_scaled_coefficient_is_the_integer_coefficient(self, alpha, beta, step, n, j):
+        # P * d_coefficient(alpha, beta, n*step, j*step) is the coefficient
+        # evaluated on the four ints, for a unit step as ModuleParams uses too
+        form = _integer_action(alpha, beta, step)
+        assert all(type(x) is int for x in form)
+        P, alpha_P, beta_P, Q = form
+        assert P > 0
+        assert P * d_coefficient(alpha, beta, n * step, j * step) == \
+            d_coefficient(alpha_P, beta_P, n * Q, j)
 
 
 class TestCanonicalForm:

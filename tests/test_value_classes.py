@@ -210,9 +210,10 @@ def test_every_value_caches_its_hash(name):
 
 
 def test_the_integer_form_is_not_a_field():
-    # ModuleParams keeps alpha, beta and f as integers in the slot _ints,
-    # filled by its constructor, and act reads them; being no field, the
-    # slot leaves ==, hash, repr, pattern matching and pickling as they were
+    # ModuleParams keeps the unit-step integer form of its d-action and the
+    # integers of f in the slot _ints, filled by its constructor, and act
+    # reads them; being no field, the slot leaves ==, hash, repr, pattern
+    # matching and pickling as they were
     params = ModuleParams(Fraction(-2, 7), Fraction(3, 4), Fraction(5, 6), cyclic(Fraction(1, 2)))
     before = hash(params)
     act(params, d(Fraction(1, 2)), basis_vector(params, 1))
@@ -220,7 +221,7 @@ def test_the_integer_form_is_not_a_field():
     assert params == fresh and hash(params) == hash(fresh) == before
     assert repr(params) == repr(fresh)
     assert ModuleParams.__match_args__ == ("alpha", "beta", "f", "group")
-    assert params._ints == fresh._ints == (-2, 7, 3, 4, 5, 6)
+    assert params._ints == fresh._ints == (28, -8, 21, 28, 5, 6)
     # the pickled state is the four fields alone
     assert params.__reduce__() == (ModuleParams, (params.alpha, params.beta, params.f,
                                                   params.group))
