@@ -24,7 +24,7 @@ from math import factorial, gcd, lcm
 
 from ._frozen import Frozen, set_field
 from .errors import CentralTermError, IndexDomainError
-from .groups import MAX_FACTORIAL_ORDER, SubgroupSpec, as_fraction, contains
+from .groups import MAX_FACTORIAL_ORDER, SubgroupSpec, _require_count, as_fraction, contains
 
 __all__ = [
     "BasisKey",
@@ -352,12 +352,7 @@ class RescalingMap(Frozen):
     __slots__ = ("m", "variant")
 
     def __init__(self, m, variant=EXACT_CENTRAL):
-        if not isinstance(m, int) or m < 1:
-            raise ValueError("rescaling order must be a positive integer")
-        if m > MAX_FACTORIAL_ORDER:
-            raise ValueError(
-                "rescaling order %d exceeds the cap of %d" % (m, MAX_FACTORIAL_ORDER)
-            )
+        _require_count(m, 1, MAX_FACTORIAL_ORDER, "rescaling order")
         if variant not in (CENTERLESS, EXACT_CENTRAL):
             raise ValueError("variant must be %r or %r" % (EXACT_CENTRAL, CENTERLESS))
         set_field(self, "m", m)

@@ -50,7 +50,8 @@ from .errors import (
     NotIntermediateSeriesError,
     SubalgebraError,
 )
-from .groups import INTEGERS, Cyclic, Trivial, _multiple, as_fraction, contains, is_subgroup
+from .groups import (INTEGERS, Cyclic, Trivial, _multiple, _require_count, as_fraction,
+                     contains, is_subgroup)
 from .intermediate import (
     Classification,
     ModuleParams,
@@ -104,12 +105,7 @@ class Window(Frozen):
     def __init__(self, group, bound):
         if not isinstance(group, Cyclic):
             raise ValueError("windows require a cyclic index group, got %s" % group)
-        if not isinstance(bound, int) or bound < 1:
-            raise ValueError("window bound must be a positive integer")
-        if bound > MAX_WINDOW_BOUND:
-            raise ValueError(
-                "window bound %d exceeds the cap of %d" % (bound, MAX_WINDOW_BOUND)
-            )
+        _require_count(bound, 1, MAX_WINDOW_BOUND, "window bound")
         set_field(self, "group", group)
         set_field(self, "bound", bound)
 
@@ -225,13 +221,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d, pivots=%s)" % (self.dimension, self.pivots())
-
-
-def _require_table_bound(bound):
-    if bound > MAX_TABLE_BOUND:
-        raise ValueError(
-            "table window bound %d exceeds the cap of %d" % (bound, MAX_TABLE_BOUND)
-        )
 
 
 def _require_window_inside(params, window):
@@ -599,7 +588,7 @@ def intermediate_series_table(params, window, scales=None):
     """
     _require_window_inside(params, window)
     bound = window.bound
-    _require_table_bound(bound)
+    _require_count(bound, 1, MAX_TABLE_BOUND, "table window bound")
     c = _scale_factors(window, scales)
     fn, fd = params.f.as_integer_ratio()
     positions = range(-bound, bound + 1)
@@ -633,7 +622,7 @@ def transported_table(params, m, bound):
     """
     _require_qk(params, m, "transport")
     window_z = Window(INTEGERS, bound)
-    _require_table_bound(bound)
+    _require_count(bound, 1, MAX_TABLE_BOUND, "table window bound")
     phi = RescalingMap(m, CENTERLESS)
     M = phi.scale.numerator
     positions = range(-bound, bound + 1)
@@ -740,12 +729,12 @@ def recover_params(table):
     """Read (alpha, beta, f) and per-index scale factors off an abstract
     action table with one-dimensional weight spaces.
 
-    One pass checks the grading and sorts the entries: alpha comes from
-    any d(0) eigenvalue minus its index, f from the I(0) eigenvalue, and
-    every other entry is an edge of the scale chain whose ratio is its
-    coefficient over the unscaled one.  The pass reads window positions:
-    an entry at source n is graded when its target is n plus the step
-    multiple of its generator, computed once per generator.  When f is
+    One pass checks the grading and a second sorts the entries: alpha
+    comes from any d(0) eigenvalue minus its index, f from the I(0)
+    eigenvalue, and every other entry is an edge of the scale chain whose
+    ratio is its coefficient over the unscaled one.  The passes read
+    window positions: an entry at source n is graded when its target is
+    n plus the step multiple of its generator.  When f is
     nonzero and the I edges connect the window, they fix the scales, the
     first d step in printed order fixes beta, and each d edge is compared
     with the scales.  Otherwise beta is a root of the loop product of two
@@ -765,21 +754,27 @@ def recover_params(table):
     scales dict.  The scales dict comes in window order, which the CLI
     prints as it comes.  Inconsistent tables raise
     NotIntermediateSeriesError, tables too sparse to determine the data
-    raise AmbiguousTableError.
+    raise AmbiguousTableError.  Equal tables raise the same error,
+    whatever order their entries were inserted in: the grading error
+    names the ungraded entry that comes first in printed order, and the
+    I edges are chained in sorted order.
     """
     window = table.window
     entries = table._entries
     bound, step = window.bound, window.step
     index = dict(enumerate(window.indices(), -bound))
     sn, sd = step.as_integer_ratio()
+    ungraded = min(((str(_generator_key(window, r, g)), n, m, g)
+                    for (r, g, n), (m, _) in entries.items() if m - n != g), default=None)
+    if ungraded is not None:
+        name, n, m, g = ungraded
+        raise NotIntermediateSeriesError(
+            "entry %s at %s lands at %s; the grading requires %s"
+            % (name, index[n], index[m], index[n] + g * step)
+        )
     alphas, fs, i_steps, d_items = set(), set(), [], []
     for item in entries.items():
         (r, g, n), (m, coeff) = item
-        if m - n != g:
-            raise NotIntermediateSeriesError(
-                "entry %s at %s lands at %s; the grading requires %s"
-                % (_generator_key(window, r, g), index[n], index[m], index[n] + g * step)
-            )
         if not r:
             if g:
                 d_items.append(item)
@@ -803,6 +798,7 @@ def recover_params(table):
             "I entries present although the I(0) eigenvalue is absent"
         )
 
+    i_steps.sort()
     try:
         scales = _chain_scales(window, _i_edges(i_steps, f)) if f else None
     except AmbiguousTableError:

@@ -57,6 +57,15 @@ def as_fraction(value):
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
+def _require_count(value, least, cap, what):
+    """Refuse a count that is not an int from ``least`` (0 or 1) to ``cap``."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError("%s must be a %s integer"
+                         % (what, "positive" if least else "non-negative"))
+    if value > cap:
+        raise ValueError("%s %d exceeds the cap of %d" % (what, value, cap))
+
+
 # Strong-probable-prime tests to the first 13 prime bases decide primality
 # exactly below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); larger
 # numbers are rejected, so no input falls back to trial division.
@@ -355,6 +364,13 @@ TRIVIAL = Trivial()
 FULL_Q = FullQ()
 
 
+def _require_groups(*groups):
+    """Refuse any argument that is not one of the four subgroup shapes."""
+    for group in groups:
+        if not isinstance(group, (Trivial, Cyclic, Supernatural, FullQ)):
+            raise TypeError("not a subgroup spec: %r" % (group,))
+
+
 def cyclic(generator):
     return Cyclic(generator)
 
@@ -390,12 +406,7 @@ MAX_FACTORIAL_ORDER = 500
 
 def qk(k):
     """The subgroup {n/k! : n integer}, written qk:<k> in group specs."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("qk index must be a non-negative integer")
-    if k > MAX_FACTORIAL_ORDER:
-        raise ValueError(
-            "qk index %d exceeds the cap of %d" % (k, MAX_FACTORIAL_ORDER)
-        )
+    _require_count(k, 0, MAX_FACTORIAL_ORDER, "qk index")
     return Cyclic(Fraction(1, factorial(k)))
 
 
@@ -414,9 +425,8 @@ def contains(group, q):
     if isinstance(group, Supernatural):
         vals, rest = _valuations(q.denominator, group.exponent_map())
         return rest == 1 and all(vals[p] <= e for p, e in group.exponents)
-    if isinstance(group, FullQ):
-        return True
-    raise TypeError("not a subgroup spec: %r" % (group,))
+    _require_groups(group)
+    return True  # FullQ
 
 
 def _multiple(q, a):
@@ -443,6 +453,7 @@ def subgroup_sum(g, h):
     supernatural S contains Z, so S + Z*n/d = S + Z/d for n/d in lowest
     terms: only d is factored, and only after S's primes are divided out.
     """
+    _require_groups(g, h)
     if isinstance(g, FullQ) or isinstance(h, FullQ):
         return FULL_Q
     if isinstance(g, Trivial):
@@ -471,6 +482,7 @@ def subgroup_intersect(g, h):
     minimum of the exponent maps on supernatural groups.  For n/d in
     lowest terms, a supernatural S meets Z*n/d in Z*n/a, where a is the
     part of d that S's exponents allow; nothing is factored."""
+    _require_groups(g, h)
     if isinstance(g, Trivial) or isinstance(h, Trivial):
         return TRIVIAL
     if isinstance(g, FullQ):
@@ -495,6 +507,7 @@ def subgroup_intersect(g, h):
 
 def is_subgroup(inner, outer):
     """Whether every element of ``inner`` lies in ``outer``."""
+    _require_groups(inner, outer)
     if isinstance(inner, Trivial) or isinstance(outer, FullQ):
         return True
     if isinstance(inner, Cyclic):
@@ -510,15 +523,13 @@ def is_subgroup(inner, outer):
 def rank(group):
     """0 for the zero group, 1 otherwise: any two nonzero rationals are
     integrally dependent, so no subgroup of Q exceeds rank 1."""
+    _require_groups(group)
     return 0 if isinstance(group, Trivial) else 1
 
 
 def finitely_generated(group):
-    if isinstance(group, (Trivial, Cyclic)):
-        return True
-    if isinstance(group, (Supernatural, FullQ)):
-        return False
-    raise TypeError("not a subgroup spec: %r" % (group,))
+    _require_groups(group)
+    return isinstance(group, (Trivial, Cyclic))
 
 
 def normalize_alpha(alpha, group):

@@ -477,6 +477,28 @@ class TestRecover:
         with pytest.raises(NotIntermediateSeriesError):
             recover_params(ActionTable(w, entries))
 
+    @pytest.mark.parametrize("changes,expected", [
+        ({(I(1), F(0)): (F(1), F(4)), (I(-2), F(1)): (F(-1), F(4))},
+         "inconsistent scale chain at index 0"),
+        ({(d(1), F(-1)): (F(0), F(8, 15)), (d(-2), F(2)): (F(0), F(38, 15))},
+         "inconsistent scale chain at index 0"),
+        ({(d(1), F(0)): (F(2), F(8, 15)), (I(-1), F(1)): (F(-1), F(2))},
+         "entry I(-1) at 1 lands at -1; the grading requires 0"),
+    ], ids=["I", "d", "grading"])
+    def test_insertion_order_does_not_change_the_error(self, changes, expected):
+        # two I coefficients doubled, two d coefficients raised by 1, or
+        # two entries retargeted: equal tables get one answer, whatever
+        # order their entries came in
+        entries = intermediate_series_table(ModuleParams(F(1, 5), F(1, 3), 2, Z),
+                                            window_z(3)).entries
+        entries.update(changes)
+        items = list(entries.items())
+        for seed in range(20):
+            rng(seed).shuffle(items)
+            with pytest.raises(NotIntermediateSeriesError) as exc:
+                recover_params(ActionTable(window_z(3), dict(items)))
+            assert str(exc.value) == expected
+
     def test_f_zero_generic_beta(self):
         p = ModuleParams(F(1, 3), F(2), F(0), Z)
         w = window_z(4)

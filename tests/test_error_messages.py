@@ -28,13 +28,17 @@ from hvir import (
     in_subalgebra,
     intermediate_series_table,
     intertwiner_check,
+    is_subgroup,
     iso_check,
     parse_element,
     parse_table,
     qk,
+    rank,
     recover_params,
     restriction_report,
     scan_details,
+    subgroup_intersect,
+    subgroup_sum,
     transported_table,
 )
 from hvir.cli import main
@@ -253,8 +257,13 @@ class TestArgumentChecks:
         (lambda p: qk(-1), ValueError, "qk index must be a non-negative integer"),
         (lambda p: contains("Q", 1), TypeError, "not a subgroup spec: 'Q'"),
         (lambda p: finitely_generated("Q"), TypeError, "not a subgroup spec: 'Q'"),
+        (lambda p: rank("Q"), TypeError, "not a subgroup spec: 'Q'"),
+        (lambda p: is_subgroup("Q", qk(0)), TypeError, "not a subgroup spec: 'Q'"),
+        (lambda p: subgroup_sum("Q", qk(0)), TypeError, "not a subgroup spec: 'Q'"),
+        (lambda p: subgroup_intersect(qk(0), "Q"), TypeError, "not a subgroup spec: 'Q'"),
     ], ids=["act-element", "in_subalgebra-group", "ActionTable-window", "WeightVector-params",
-            "qk-negative", "contains-group", "finitely_generated-group"])
+            "qk-negative", "contains-group", "finitely_generated-group", "rank-group",
+            "is_subgroup-group", "subgroup_sum-group", "subgroup_intersect-group"])
     def test_message(self, call, exc_type, expected):
         assert message(exc_type, call, self.PARAMS) == expected
 

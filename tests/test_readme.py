@@ -14,3 +14,20 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue() == "16\nReducibleCodimOne\n"
+
+
+def test_caps_table_shows_each_constant():
+    # every MAX_* constant is named in a row of the caps table, and each
+    # row that names one shows its value
+    from hvir import analysis, cli, groups
+
+    constants = {name: value for module in (groups, analysis, cli)
+                 for name, value in vars(module).items() if name.startswith("MAX_")}
+    section = README.read_text(encoding="utf-8").split("### Caps\n", 1)[1].split("\n\n### ", 1)[0]
+    named = set()
+    for row in re.findall(r"^\| (?!input |---)(.*) \|$", section, re.M):
+        _, cap, _, where = row.split(" | ")
+        for name in re.findall(r"MAX_\w+", where):
+            named.add(name)
+            assert int(re.match(r"[\d ]+", cap).group().replace(" ", "")) == constants[name], row
+    assert named == set(constants)
