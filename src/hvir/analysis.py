@@ -17,9 +17,10 @@ the integer form of :func:`hvir.intermediate._integer_action`.  Table
 builders walk (source, target) pairs of window positions, and the
 series table computes the coefficient at source 0 of each of the 4B+1
 steps once.
-Recovery sorts the entries in one pass, grades each as m - n == g, and
-compares each once, as an edge of a scale chain of integer pairs;
-intertwiner checks compare each pair of window positions once, in
+Recovery first grades every entry as m - n == g and names the ungraded
+entry that comes first in printed order, then sorts the entries in one
+pass and compares each once, as an edge of a scale chain of integer
+pairs; intertwiner checks compare each pair of window positions once, in
 integers.
 
 Generator applications are truncated to the window: a term whose target

@@ -6,13 +6,16 @@ that is both inconsistent and disconnected, the scale-chain oracle for
 a rescaled shift isomorphism, the per-character
 scanner, the accumulator-per-operation oracle for algebra elements with
 its own Fraction basis bracket, the entry-dict proportionality test, the
-valuation-profile oracle for the subgroup lattice, and the dataclass
-oracles for the value classes."""
+valuation-profile oracle for the subgroup lattice, the dataclass
+oracles for the value classes, and the small-rationals hypothesis
+strategy."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
+
+from hypothesis import strategies as st
 
 from hvir import (
     CD,
@@ -61,6 +64,10 @@ from hvir.analysis import MAX_WINDOW_BOUND, _chain_scales
 from hvir.groups import MAX_DIGITS, MAX_FACTORIAL_ORDER, _check_prime_powers, _factorint
 from hvir.intermediate import d_coefficient
 from hvir.parsing import _Scanner
+
+
+# n/k with |n| <= 6 and 1 <= k <= 6, drawn by the property tests
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
 def rng(seed):

@@ -50,6 +50,7 @@ from helpers import (
     reference_closure,
     reference_scan,
     rng,
+    small_fractions,
     stray_i_entry_table,
 )
 
@@ -677,7 +678,6 @@ class TestSubquotientMap:
 # Z, 1/2 Z, 1/6 Z and 3Z form a chain, so a module group drawn from the
 # list may contain the window group or miss it.
 ORACLE_GROUPS = [Z, cyclic(F(1, 2)), qk(3), cyclic(3)]
-small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 
 
 @st.composite

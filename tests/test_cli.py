@@ -7,16 +7,18 @@ import subprocess
 import sys
 import time
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
 import hvir.cli
-from hvir import Window, qk
+from hvir import (ModuleParams, Window, format_table, intermediate_series_table, qk,
+                  transported_table)
 from hvir.cli import _basis_keys, _sample_ranks, _unrank_triple, main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the directory this run imported hvir from, for child processes to import
+# the same copy: the checkout's src/ or an installed package
+HVIR_PATH = os.path.dirname(os.path.dirname(hvir.cli.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -35,10 +37,26 @@ class TestGoldenOutputs:
             "submodule of codimension 1\n"
         )
 
-    def test_bracket(self, capsys):
-        status, out, err = run_cli(capsys, "bracket", "d(2)", "d(-2)")
-        assert status == 0 and err == ""
-        assert out == "-4*d(0) + 1/2*CD\n"
+    @pytest.mark.parametrize("argv,expected", [
+        (["bracket", "d(2)", "d(-2)"], "-4*d(0) + 1/2*CD\n"),
+        # the integer bracket over mixed index denominators, with the CD cube term
+        (["bracket", "d(1/2)+I(-1/2)", "d(-1/2)"], "-d(0) + 1/2*I(-1) - 1/32*CD\n"),
+        # closure reads the scan's reachability: beta = 1 drops the line at 0,
+        # beta = 0 keeps it alone
+        (["closure", "0,1,0@qk:0", "--window", "2", "--seed", "1"],
+         "dimension: 4\nwindow size: 5\nindices: -2, -1, 1, 2\n"),
+        (["closure", "0,0,0@qk:0", "--window", "2", "--seed", "0"],
+         "dimension: 1\nwindow size: 5\nindices: 0\n"),
+        # a sweep and a sample both walk the triples through one unranking
+        (["jacobi", "--window", "0:2"], "jacobi: OK (286 triples checked)\n"),
+        (["jacobi", "--window", "1:2", "--samples", "7", "--seed", "3"],
+         "jacobi: OK (7 triples checked)\n"),
+        (["restrict", "0,1,0@cyclic:1/2", "--subgroup", "cyclic:1", "--window", "4"],
+         "0 -> 0,1,0@cyclic:1\n1/2 -> 1/2,1,0@cyclic:1\n"),
+    ], ids=["bracket", "bracket-mixed-denominators", "closure-codim-one", "closure-trivial",
+            "jacobi-sweep", "jacobi-sample", "restrict"])
+    def test_golden(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize("params,verdict,note,dims,pivots", [
         ("0,0,0@qk:0", "ReducibleTrivialSub",
@@ -127,6 +145,18 @@ class TestStructuredReports:
             {"rep": "0", "params": "0,1,0@cyclic:1"},
             {"rep": "1/2", "params": "1/2,1,0@cyclic:1"},
         ]
+
+
+UNIT_SCALES = "scales: -3=1, -2=1, -1=1, 0=1, 1=1, 2=1, 3=1\n"
+RISING_SCALES = "scales: -3=1, -2=3/4, -1=1/2, 0=1/4, 1=1/2, 2=3/4, 3=1\n"
+
+
+def scaled_table(alpha, beta, f, scale):
+    """The table of V(alpha, beta, f) over Z on the bound-3 window, with the
+    basis vector at q rescaled by ``scale(q)``."""
+    window = Window(qk(0), 3)
+    return intermediate_series_table(ModuleParams(alpha, beta, f, qk(0)), window,
+                                     {q: scale(q) for q in window.indices()})
 
 
 class TestVerbs:
@@ -222,24 +252,29 @@ class TestVerbs:
         probe = ("import sys, argparse, bisect, itertools, math, os, random, hvir; "
                  "before = set(sys.modules); import hvir.cli; "
                  "print(' '.join(sorted(set(sys.modules) - before)))")
-        env = dict(os.environ, PYTHONPATH=SRC)
+        env = dict(os.environ, PYTHONPATH=HVIR_PATH)
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, env=env)
         assert out.stdout.split() == ["hvir.cli"]
 
-    def test_recover_from_file(self, capsys, tmp_path):
-        from hvir import ModuleParams, Window, format_table, intermediate_series_table, qk
-        from fractions import Fraction as F
-
-        p = ModuleParams(F(1, 2), F(2), F(3), qk(0))
-        table = intermediate_series_table(p, Window(qk(0), 3))
+    @pytest.mark.parametrize("table,expected", [
+        (lambda: scaled_table(Fraction(1, 5), 2, 3, lambda q: Fraction(3, 4)),
+         "params: 1/5,2,3@cyclic:1\n" + UNIT_SCALES),
+        # negative, non-constant scales: the signs of the integer pairs in the scale chain
+        (lambda: scaled_table(Fraction(1, 5), Fraction(-2, 3), 3, lambda q: -1 - abs(q)),
+         "params: 1/5,-2/3,3@cyclic:1\n" + RISING_SCALES),
+        # an f = 0 table reaches beta through the loop product of two d steps
+        (lambda: scaled_table(Fraction(1, 5), 2, 0, lambda q: 1 + abs(q)),
+         "params: 1/5,2,0@cyclic:1\n" + RISING_SCALES),
+        # a table transported from qk(2) recovers the pulled-back parameters
+        (lambda: transported_table(ModuleParams(Fraction(1, 14), Fraction(1, 3), 2, qk(2)), 2, 3),
+         "params: 1/7,1/3,4@cyclic:1\n" + UNIT_SCALES),
+    ], ids=["constant-scale", "negative-scales", "loop-product", "transported"])
+    def test_recover_from_file(self, capsys, tmp_path, table, expected):
+        # a table written by the library is read back by recover
         path = tmp_path / "table.txt"
-        path.write_text(format_table(table), encoding="utf-8")
-        status, out, _ = run_cli(capsys, "recover", "--table", str(path))
-        assert status == 0
-        lines = out.splitlines()
-        assert lines[0] == "params: 1/2,2,3@cyclic:1"
-        assert lines[1].startswith("scales: -3=1, -2=1,")
+        path.write_text(format_table(table()), encoding="utf-8")
+        assert run_cli(capsys, "recover", "--table", str(path)) == (0, expected, "")
 
 
 class TestErrors:
@@ -268,6 +303,22 @@ class TestErrors:
         assert status == 1
         assert err.startswith("error[subalgebra-violation]:")
 
+    @pytest.mark.parametrize("text,expected", [
+        # two I(0) eigenvalues make a table no intermediate-series module has
+        ("window qk:0 1\nd(0) 0 0 1\nI(0) 0 0 2\nI(0) 1 1 3\n",
+         "error[not-intermediate-series]: I(0) eigenvalues disagree\n"),
+        # a generator off the step's multiples fails the grading
+        ("window qk:0 2\nd(1/2) 0 1 1\n", "error[not-intermediate-series]: "
+         "entry d(1/2) at 0 lands at 1; the grading requires 1/2\n"),
+        # a central generator is refused once the table has parsed
+        ("window qk:0 2\nCD 0 0 1\n",
+         "error[syntax]: table generators must be d(...) or I(...) symbols\n"),
+    ], ids=["two-f", "off-step", "central"])
+    def test_recover_refuses(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "recover", "--table", str(path)) == (1, "", expected)
+
     def test_missing_table_file(self, capsys):
         status, _, err = run_cli(capsys, "recover", "--table", "/nonexistent/t.txt")
         assert status == 1
@@ -280,7 +331,7 @@ class TestErrors:
     def test_closed_stdout_is_no_input_error(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the child writes a byte
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        path = os.pathsep.join(filter(None, [HVIR_PATH, os.environ.get("PYTHONPATH")]))
         try:
             child = subprocess.run(
                 [sys.executable, "-m", "hvir.cli", *argv],

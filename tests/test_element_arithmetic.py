@@ -41,11 +41,11 @@ from helpers import (
     reference_bracket,
     reference_jacobiator,
     reference_proportionality,
+    small_fractions,
 )
 
 F = Fraction
 
-small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 # mixed denominators: integers, halves, thirds, sixths and sevenths
 mixed_indices = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 1, 2, 3, 6, 7]))
 integer_indices = st.integers(-4, 4).map(F)

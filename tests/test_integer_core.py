@@ -35,14 +35,13 @@ from helpers import (
     reference_act,
     reference_act_word,
     reference_contains,
+    small_fractions,
 )
 
 F = Fraction
 
 # Z, 1/2 Z, 1/6 Z, sn:2^inf and Q
 CORE_GROUPS = (qk(0), cyclic(F(1, 2)), cyclic(F(1, 6)), supernatural({2: inf}), FULL_Q)
-
-small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 
 
 def group_indices(group):

@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what its comments show."""
+"""The README's examples run and print what it shows."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from hvir.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,6 +17,19 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue() == "16\nReducibleCodimOne\n"
+
+
+def test_cli_examples_print_what_they_show(capsys):
+    # each "$ hvir ..." line of the sh blocks, and the lines shown under it
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S))
+    examples = re.findall(r"^\$ (hvir .*)\n((?:(?!\$ ).+\n)*)", blocks, re.M)
+    assert len(examples) == 6
+    for command, shown in examples:
+        status = main(shlex.split(command)[1:])
+        captured = capsys.readouterr()
+        assert (status, captured.err) == (0, ""), command
+        if shown:
+            assert captured.out == shown, command
 
 
 def test_caps_table_shows_each_constant():

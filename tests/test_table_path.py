@@ -40,6 +40,7 @@ from helpers import (
     reference_transported_table,
     reference_format_table,
     reference_window_contains,
+    small_fractions,
     stray_i_entry_table,
 )
 
@@ -47,7 +48,6 @@ F = Fraction
 
 # Z, 1/2 Z and 1/3 Z
 TABLE_GROUPS = (qk(0), cyclic(F(1, 2)), cyclic(F(1, 3)))
-small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 nonzero_fractions = small_fractions.filter(bool)
 
 
