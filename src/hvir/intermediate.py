@@ -20,6 +20,9 @@ to coefficient numerators, gcd-reduced so that equal vectors have equal
 fields.  Sums, differences, scalar multiples, equality and :func:`act`
 run on these integers; ``Fraction`` appears only at the boundary, in the
 constructor's input and in ``entries``, ``coefficient`` and ``str``.
+:func:`act` writes a zero or one-term result straight into its slots,
+reduced by one gcd pair, and a sum or difference with a zero operand
+returns the other operand (negated when it is subtracted).
 The coefficient alpha + h + g*beta is evaluated only by :func:`d_coefficient`.
 """
 
@@ -183,6 +186,10 @@ class WeightVector(_IntegerSum):
             return NotImplemented
         if self.params is not other.params and self.params != other.params:
             raise GroupMismatchError("cannot %s vectors of different modules" % verb)
+        if not other._num:
+            return self
+        if not self._num:
+            return other if sign == 1 else -other
         L, D = self._L, self._D
         merged = dict(self._num)
         if other._L == L and other._D == D:
@@ -216,7 +223,7 @@ def _set_canonical(self, params, L, D, num):
     """Fill a vector's fields with the canonical form of (L, D, num):
     zeros dropped, keys sorted, both denominators gcd-reduced."""
     if len(num) == 1:
-        # one term, as every act on a basis vector gives: reduced directly
+        # one term, as a basis vector and its multiples have: reduced directly
         (k, c), = num.items()
         if not c:
             L = D = 1
@@ -261,6 +268,14 @@ def act(params, x, v):
     One membership test covers all of the indices of ``x``, and it runs
     once per element per group object: ``x`` remembers the last group
     that passed it, by identity, and any other group is tested in full.
+
+    After those checks, the two commonest results skip the canonical-form
+    pass.  An element with no d/I generator, or the zero vector, gives
+    the zero vector; one generator on a one-term vector gives one term
+    (or zero), which is made canonical by dividing out gcd(L, t) from
+    its index and gcd(D, c) from its coefficient.  Both are written
+    straight into a new vector's slots.  Every other shape sums its
+    terms and goes through the canonical form as sums do.
     """
     if not isinstance(x, AlgebraElement):
         x = _as_element(x)
@@ -273,33 +288,50 @@ def act(params, x, v):
             raise SubalgebraError("element %s has indices outside the group %s" % (x, group))
         x._group = group
     source = v._num
-    if not gens or not source:
-        return WeightVector._canonical(params, 1, 1, {})
-    L = lcm(v._L, x._L)
-    if L != v._L:
-        scale = L // v._L
-        source = {k * scale: c for k, c in source.items()}
-    sx = L // x._L
-    S, alpha_S, beta_P, Q, fn, fd = params._ints
-    # the unit-step form taken to the step 1/L: by linearity P times the
-    # coefficient of d(gk/L) at v(k/L) is d_coefficient(alpha_P, beta_P, k*Q, gk)
-    P, alpha_P = S * L, alpha_S * L
-    acc = {}
-    for r, gk, c in gens:
-        gk *= sx
-        if r == 0:
-            c *= fd
-            for k, cv in source.items():
-                w = d_coefficient(alpha_P, beta_P, k * Q, gk)
-                if w:
-                    t = k + gk
-                    acc[t] = acc.get(t, 0) + c * cv * w
-        elif fn:
-            c *= fn * P
-            for k, cv in source.items():
-                t = k + gk
-                acc[t] = acc.get(t, 0) + c * cv
-    return WeightVector._canonical(params, L, x._D * v._D * P * fd, acc)
+    c = 0  # the coefficient of a one-term result; 0 for the zero vector
+    if gens and source:
+        L = lcm(v._L, x._L)
+        sv, sx = L // v._L, L // x._L
+        S, alpha_S, beta_P, Q, fn, fd = params._ints
+        # the unit-step form taken to the step 1/L: by linearity P times the
+        # coefficient of d(gk/L) at v(k/L) is d_coefficient(alpha_P, beta_P, k*Q, gk)
+        P, alpha_P = S * L, alpha_S * L
+        D = x._D * v._D * P * fd
+        if len(gens) > 1 or len(source) > 1:
+            if sv != 1:
+                source = {k * sv: c for k, c in source.items()}
+            acc = {}
+            for r, gk, c in gens:
+                gk *= sx
+                if r == 0:
+                    c *= fd
+                    for k, cv in source.items():
+                        w = d_coefficient(alpha_P, beta_P, k * Q, gk)
+                        if w:
+                            t = k + gk
+                            acc[t] = acc.get(t, 0) + c * cv * w
+                elif fn:
+                    c *= fn * P
+                    for k, cv in source.items():
+                        t = k + gk
+                        acc[t] = acc.get(t, 0) + c * cv
+            return WeightVector._canonical(params, L, D, acc)
+        # one generator on one term
+        (r, gk, c), = gens
+        (k, cv), = source.items()
+        k, gk = k * sv, gk * sx
+        c *= cv * (fd * d_coefficient(alpha_P, beta_P, k * Q, gk) if r == 0 else fn * P)
+    # a zero or one-term result: canonical once its one gcd pair is divided out
+    out = object.__new__(WeightVector)
+    out.params = params
+    if c:
+        t = k + gk
+        gl, gc = gcd(L, t), gcd(D, c)
+        out._L, out._D, out._num = L // gl, D // gc, {t // gl: c // gc}
+    else:
+        out._L = out._D = 1
+        out._num = {}
+    return out
 
 
 def act_word(params, word, v):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hvir import (
     CD,
@@ -28,6 +28,7 @@ from hvir import (
     qk,
     supernatural,
 )
+from hvir import intermediate
 from hvir.intermediate import _integer_action, d_coefficient
 from helpers import (
     ReferenceSubspace,
@@ -95,6 +96,10 @@ def elements(draw, indices, min_size=0):
 
 def assert_same(vector, reference):
     assert vector.entries == reference.entries
+    # the canonical form, which == compares: what the constructor gives
+    canonical = WeightVector(vector.params, reference.entries)
+    assert (vector._L, vector._D, vector._num) == (canonical._L, canonical._D, canonical._num)
+    assert list(vector._num) == sorted(vector._num)
     assert all(type(q) is F and type(c) is F for q, c in vector.entries.items())
     assert str(vector) == str(reference)
     assert vector.is_zero() == reference.is_zero()
@@ -251,6 +256,98 @@ class TestOneTermCanonicalForm:
         # the same form as the multi-term path gives once a second term cancels
         two = WeightVector._canonical(params, L, D, {k: c, k + 1: 0})
         assert (two._L, two._D, two._num) == (v._L, v._D, v._num)
+
+
+@st.composite
+def direct_cases(draw):
+    """The shapes ``act`` builds without the canonical-form pass: at most
+    one d/I term (central terms may ride along) on at most one term."""
+    params, indices = draw(params_and_indices())
+    generators = st.one_of(indices.map(d), indices.map(I))
+    terms = draw(st.lists(st.tuples(generators, small_fractions), max_size=1))
+    terms += draw(st.lists(st.tuples(st.sampled_from([CD, CDI]), small_fractions), max_size=1))
+    items = draw(st.lists(st.tuples(indices, small_fractions), max_size=1))
+    return params, AlgebraElement(terms), items
+
+
+class TestDirectResults:
+    """Zero and one-term results are written straight into a vector, and
+    a zero operand of + or - returns the other operand; each matches the
+    Fraction oracles, canonical form included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(direct_cases())
+    # d with a vanishing coefficient: alpha + q + g*beta = 1/3 + 0 - 1/3
+    @example((ModuleParams(F(1, 3), F(1, 3), F(2), qk(0)),
+              AlgebraElement({d(-1): F(3, 4)}), [(0, F(5, 2))]))
+    # I with f == 0
+    @example((ModuleParams(F(1, 3), F(2), F(0), qk(0)), AlgebraElement({I(1): 2}), [(2, 1)]))
+    # the target index is 0, so L reduces to 1
+    @example((ModuleParams(F(1, 5), F(1, 3), F(1), cyclic(F(1, 2))),
+              AlgebraElement({d(F(1, 2)): 1}), [(F(-1, 2), F(1, 3))]))
+    # the coefficient 3/2 * 9/4 * 4/9 shares factors with D
+    @example((ModuleParams(F(1, 2), F(3), F(4, 9), cyclic(F(1, 6))),
+              AlgebraElement({I(F(1, 6)): F(3, 2)}), [(F(1, 3), F(9, 4))]))
+    # a central-only element
+    @example((ModuleParams(F(1, 2), F(3), F(1), qk(0)),
+              AlgebraElement({CD: 2, CDI: 1}), [(1, 1)]))
+    # the zero vector
+    @example((ModuleParams(F(1, 2), F(3), F(1), qk(0)), AlgebraElement({d(1): 1}), []))
+    def test_against_the_reference(self, case):
+        params, x, items = case
+        v, rv = WeightVector(params, items), ReferenceVector(params, items)
+        result, expected = act(params, x, v), reference_act(params, x, rv)
+        assert_same(result, expected)
+        # v + 0, 0 + v, v - 0 and 0 - v, for the input and for the result
+        zero, rzero = WeightVector(params), ReferenceVector(params)
+        for u, ru in ((v, rv), (result, expected)):
+            assert_same(u + zero, ru + rzero)
+            assert_same(zero + u, rzero + ru)
+            assert_same(u - zero, ru - rzero)
+            assert_same(zero - u, rzero - ru)
+
+    def test_a_zero_operand_of_another_module_is_refused(self):
+        params = ModuleParams(F(1, 3), F(2), F(1), qk(0))
+        other = ModuleParams(F(1, 3), F(2), F(2), qk(0))
+        v, zero = WeightVector(params, {1: F(1, 2)}), WeightVector(params)
+        other_zero = WeightVector(other)
+        for a, b in ((v, other_zero), (other_zero, v), (zero, other_zero), (other_zero, zero)):
+            with pytest.raises(GroupMismatchError):
+                a + b
+            with pytest.raises(GroupMismatchError):
+                a - b
+
+    def test_checks_run_before_the_direct_results(self):
+        # the params check and the membership test come first, also where
+        # the result is zero or one term
+        params = ModuleParams(F(1, 3), F(2), F(1), qk(0))
+        other = ModuleParams(F(1, 3), F(2), F(2), qk(0))
+        for v in (WeightVector(other), WeightVector(other, {1: 1})):
+            with pytest.raises(GroupMismatchError):
+                act(params, AlgebraElement({d(1): 1}), v)
+            with pytest.raises(GroupMismatchError):
+                act(params, AlgebraElement({CD: 1}), v)
+        off = AlgebraElement({d(F(1, 2)): 1})
+        for v in (WeightVector(params), WeightVector(params, {1: 1})):
+            with pytest.raises(SubalgebraError):
+                act(params, off, v)
+
+
+class TestCoefficientHasOneHome:
+    def test_act_evaluates_d_coefficient(self, monkeypatch):
+        # a wrong formula in d_coefficient must change act's answer on the
+        # one-term path and on the summing path alike
+        params = ModuleParams(F(1, 3), F(2), F(1), qk(0))
+        cases = [(AlgebraElement({d(1): 1}), {2: 1}),
+                 (AlgebraElement({d(1): 1, d(2): F(1, 2)}), {0: 1, 1: F(1, 3)})]
+        right = []
+        for x, items in cases:
+            right.append(act(params, x, WeightVector(params, items)))
+            assert_same(right[-1], reference_act(params, x, ReferenceVector(params, items)))
+        monkeypatch.setattr(intermediate, "d_coefficient",
+                            lambda alpha, beta, q, g: alpha + q - g * beta)
+        for (x, items), expected in zip(cases, right):
+            assert act(params, x, WeightVector(params, items)) != expected
 
 
 class TestRepresentationIdentity:
