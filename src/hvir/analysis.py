@@ -51,8 +51,8 @@ from .errors import (
     NotIntermediateSeriesError,
     SubalgebraError,
 )
-from .groups import (INTEGERS, Cyclic, Trivial, _multiple, _require_count, as_fraction,
-                     contains, is_subgroup)
+from .groups import (INTEGERS, Cyclic, Trivial, _multiple, _reduced, _require_count,
+                     as_fraction, contains, is_subgroup)
 from .intermediate import (
     Classification,
     ModuleParams,
@@ -448,7 +448,10 @@ class ActionTable:
 
     Entries map ``(generator, source index)`` to ``(target index,
     coefficient)``; at most one target per pair, matching modules whose
-    weight spaces are one-dimensional.  Zero coefficients are omitted.
+    weight spaces are one-dimensional.  Zero coefficients are dropped on
+    input, and an absent entry is unknown, not 0: :func:`recover_params`
+    accepts partial tables on purpose and fits only the entries present,
+    so a coefficient given as 0 constrains nothing.
 
     Entries are held in ints, by window position, each coefficient as a
     reduced integer pair: ``{(r, g, n): (m, (num, den))}`` for the
@@ -506,12 +509,6 @@ class ActionTable:
 
     def __repr__(self):
         return "ActionTable(%s, %d entries)" % (self.window, len(self._entries))
-
-
-def _reduced(num, den):
-    """num/den, for a nonzero den, as a reduced pair with den > 0."""
-    g = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // g, den // g
 
 
 def _generator(window, key):

@@ -5,7 +5,9 @@ restrict, recover.  Text output is the default; ``--structured`` prints
 a JSON report whose keys appear in a fixed documented order (params,
 window, verdict, dimensions, basisIndices, cosets, then verb-specific
 extras).  All outputs are deterministic: identical invocations print
-identical bytes, and the CLI keeps no state between runs.
+identical bytes, and the CLI keeps no state between runs.  Only the
+window verbs import ``hvir.analysis``, inside their handlers, so the
+other verbs do not compile it at start-up.
 
 Errors are reported as ``error[<code>]: <message>`` on stderr with exit
 status 1; usage errors exit with status 2.  A stdout closed by its
@@ -34,13 +36,6 @@ from .algebra import (
     bracket,
     d,
     jacobiator,
-)
-from .analysis import (
-    Window,
-    closure,
-    recover_params,
-    restriction_report,
-    scan_details,
 )
 from .errors import HvirError
 from .intermediate import _rescaling_power, act, basis_vector, classify, iso_check
@@ -191,10 +186,14 @@ def _cmd_phi(args):
 
 
 def _window(params, text):
+    from .analysis import Window
+
     return Window(params.group, parse_natural(text, "window bound"))
 
 
 def _cmd_closure(args):
+    from .analysis import closure
+
     params = parse_params(args.params)
     window = _window(params, args.window)
     seeds = [basis_vector(params, parse_rational(q)) for q in args.seed.split(",")]
@@ -216,6 +215,8 @@ def _cmd_closure(args):
 
 
 def _cmd_scan(args):
+    from .analysis import scan_details
+
     params = parse_params(args.params)
     window = _window(params, args.window)
     classification, dims, proper = scan_details(params, window)
@@ -239,6 +240,8 @@ def _cmd_scan(args):
 
 
 def _cmd_restrict(args):
+    from .analysis import restriction_report
+
     params = parse_params(args.params)
     window = _window(params, args.window)
     subgroup = parse_group(args.subgroup)
@@ -255,6 +258,8 @@ def _cmd_restrict(args):
 
 
 def _cmd_recover(args):
+    from .analysis import recover_params
+
     with open(args.table, "r", encoding="utf-8") as handle:
         table = parse_table(handle.read())
     params, scales = recover_params(table)

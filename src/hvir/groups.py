@@ -435,6 +435,12 @@ def _multiple(q, a):
     return None if r else n
 
 
+def _reduced(num, den):
+    """num/den, for a nonzero den, as a reduced pair with den > 0."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
 def _valuations(n, primes):
     """``{p: v_p(n)}`` at the given primes, and n with them divided out."""
     vals = dict.fromkeys(primes, 0)

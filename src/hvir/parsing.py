@@ -14,6 +14,8 @@ The single token ``0`` denotes the zero element.  Group specs: ``0``,
 Module parameters: ``alpha,beta,F@<groupspec>``.  Every integer of the
 input, the CLI's integer options included, is a run of at most
 ``groups.MAX_DIGITS`` ASCII digits read by ``_Scanner.digits``.
+The functions that build windows and tables import ``hvir.analysis``
+when they run, so the other grammars do not load it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from functools import cache
 from math import inf
 
 from .algebra import AlgebraElement, BasisKey
-from .analysis import (ActionTable, Window, _checked_entries, _generator, _generator_key,
-                       _printed_order, _reduced)
 from .errors import ParseError
-from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, cyclic, qk, supernatural
+from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, _reduced, cyclic, qk, supernatural
 from .intermediate import ModuleParams
 
 __all__ = [
@@ -246,6 +246,8 @@ def parse_group(text):
 
 def parse_qk_window(text):
     """Parse ``<k>:<bound>`` into the window of that bound over qk:<k>."""
+    from .analysis import Window
+
     s = _Scanner(text)
     s.skip_ws()
     k = s.digits()
@@ -282,6 +284,8 @@ def parse_table(text):
     integer pair (num, den) once; the entries are checked by the one
     check of ``ActionTable``.
     """
+    from .analysis import ActionTable, Window, _checked_entries, _generator, _generator_key
+
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if not lines:
@@ -318,6 +322,8 @@ def format_table(table):
     """Inverse of :func:`parse_table` for the same file format.  Each
     index and, through a per-call ``functools.cache``, each distinct
     coefficient pair is printed once."""
+    from .analysis import _printed_order
+
     window = table.window
     lines = ["window %s %d" % (window.group, window.bound)]
     # the printed index of each position

@@ -21,6 +21,18 @@ from hvir.cli import _basis_keys, _sample_ranks, _unrank_triple, main
 HVIR_PATH = os.path.dirname(os.path.dirname(hvir.cli.__file__))
 
 
+# run in a fresh interpreter: import the CLI, run main on the arguments if
+# there are any, and print whether hvir.analysis got loaded
+STARTUP_PROBE = """
+import sys
+import hvir.cli
+assert set(hvir.__all__) <= set(dir(hvir))
+if sys.argv[1:]:
+    assert hvir.cli.main(sys.argv[1:]) == 0
+print("hvir.analysis" in sys.modules)
+"""
+
+
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -198,6 +210,12 @@ class TestVerbs:
         assert status == 0
         assert out == "isomorphic: true\nwitness: 0\nrescaling: v(q) -> (1/7 + q) u(q)\n"
 
+    def test_iso_slope_swap_on_the_group(self, capsys):
+        # alpha lies in the group, so only the subquotients are isomorphic:
+        # no rescaling is printed, since v(q) -> (0 + q) u(q) kills v(0)
+        assert run_cli(capsys, "iso", "0,0,0@qk:0", "0,1,0@qk:0") == (
+            0, "isomorphic: true\nwitness: 0\n", "")
+
     def test_iso_slope_swap_back_with_a_shift(self, capsys):
         status, out, _ = run_cli(capsys, "--structured", "iso", "-1/7,1,0@qk:0", "13/7,0,0@qk:0")
         assert status == 0
@@ -256,6 +274,24 @@ class TestVerbs:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, env=env)
         assert out.stdout.split() == ["hvir.cli"]
+
+    @pytest.mark.parametrize("argv,loaded", [
+        ([], False),
+        (["bracket", "d(1)", "d(2)"], False),
+        (["act", "0,1,0@qk:0", "d(1)", "--at", "0"], False),
+        (["classify", "0,1,0@Q"], False),
+        (["iso", "0,0,0@qk:0", "0,1,0@qk:0"], False),
+        (["phi", "--m", "2", "--variant", "exact", "d(1)"], False),
+        (["scan", "0,1,0@qk:0", "--window", "2"], True),
+    ], ids=["import", "bracket", "act", "classify", "iso", "phi", "scan"])
+    def test_only_window_verbs_load_analysis(self, argv, loaded):
+        # a process without cached bytecode compiles every module it loads,
+        # so the verbs that build no window leave the engine unloaded; the
+        # package lists the engine's names before it loads
+        env = dict(os.environ, PYTHONPATH=HVIR_PATH)
+        out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.splitlines()[-1] == str(loaded)
 
     @pytest.mark.parametrize("table,expected", [
         (lambda: scaled_table(Fraction(1, 5), 2, 3, lambda q: Fraction(3, 4)),

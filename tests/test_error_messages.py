@@ -25,6 +25,7 @@ from hvir import (
     cyclic,
     d,
     finitely_generated,
+    format_table,
     in_subalgebra,
     intermediate_series_table,
     intertwiner_check,
@@ -93,6 +94,16 @@ class TestAnalysis:
         )
         assert message(NotIntermediateSeriesError, recover_params, table) == (
             "entry d(1) at -1 is nonzero where the action must vanish"
+        )
+
+    def test_recover_vanishing_entry_on_a_half_step_window(self):
+        # d(-3/2) acts on v(1/2) by alpha + 1/2 - 3/2*beta = 0; the message
+        # names the source by its index 1/2: window position 1 times the step
+        params = ModuleParams(0, F(1, 3), 1, cyclic(F(1, 2)))
+        text = format_table(intermediate_series_table(params, Window(params.group, 3)))
+        table = parse_table(text + "d(-3/2) 1/2 -1 1\n")
+        assert message(NotIntermediateSeriesError, recover_params, table) == (
+            "entry d(-3/2) at 1/2 is nonzero where the action must vanish"
         )
 
     def test_recover_unreachable_index(self):

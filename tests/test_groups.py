@@ -313,6 +313,8 @@ class TestCanonicalForms:
         assert is_subgroup(TRIVIAL, cyclic(F(1, 2)))
         assert is_subgroup(cyclic(F(1, 2)), supernatural({2: inf}))
         assert not is_subgroup(supernatural({2: inf}), cyclic(F(1, 1024)))
+        # a prime that the outer group lacks: 1/3 is not in sn:2^inf
+        assert not is_subgroup(supernatural({2: inf, 3: 1}), supernatural({2: inf}))
         assert is_subgroup(supernatural({2: 1, 3: inf}), supernatural({2: inf, 3: inf}))
         assert not is_subgroup(FULL_Q, supernatural({2: inf}))
         assert is_subgroup(supernatural({2: inf}), FULL_Q)

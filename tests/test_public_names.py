@@ -54,13 +54,28 @@ MODULE_ALL = {
 }
 
 
+SUBMODULES = {"algebra", "analysis", "errors", "groups", "intermediate", "parsing"}
+
+
 def test_package_names():
+    # dir() and getattr, since the analysis names load on first use
     names = {
-        name for name, value in vars(hvir).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(hvir)
+        if not name.startswith("_") and not isinstance(getattr(hvir, name), types.ModuleType)
     }
     assert len(PUBLIC_NAMES) == 77
     assert names == PUBLIC_NAMES
+
+
+def test_star_import_names():
+    namespace = {}
+    exec("from hvir import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == 83
+    assert set(namespace) == PUBLIC_NAMES | SUBMODULES
+    assert namespace["analysis"] is analysis
+    # the package serves analysis's names from its own copy of the list
+    assert list(hvir._ANALYSIS_NAMES) == analysis.__all__
 
 
 def test_module_all():
