@@ -6,7 +6,10 @@ finite-window analysis engine that verifies the classification facts
 about those modules empirically and exactly.
 
 The engine, ``hvir.analysis``, and its names load on first use, so that
-``import hvir`` and the CLI verbs that build no window do not compile it.
+``import hvir`` and the CLI verbs that run no engine function do not
+compile it.  ``Window`` is one of those names, but it is defined in
+``hvir.groups``, so ``hvir.groups.Window`` builds a window without the
+engine.
 """
 
 # each module's __all__ is its export list

@@ -8,15 +8,13 @@ and writes each slot with :func:`set_field`; after that every
 assignment and deletion raises ``AttributeError``.  A value equals
 itself, and otherwise equals the values of its own class whose field
 tuple is equal.  The hash is the hash of the field tuple, computed on
-the first ``hash`` and cached in the ``_hash`` slot that ``Frozen``
-declares.  ``repr`` reads like a dataclass's,
+each ``hash``.  ``repr`` reads like a dataclass's,
 ``Cyclic(generator=Fraction(1, 2))``.
 
 One rule covers the slots that are not fields: a slot whose name begins
-with an underscore, such as ``_hash``, caches something the fields
-determine.  It takes no part in ``__match_args__``, ``==``, ``hash``,
-``repr`` or pickling, and is filled by the constructor (``_hash`` by
-the first ``hash``).
+with an underscore, such as ``ModuleParams._ints``, caches something the
+fields determine.  The constructor fills it, and it takes no part in
+``__match_args__``, ``==``, ``hash``, ``repr`` or pickling.
 """
 
 from operator import attrgetter
@@ -28,8 +26,7 @@ set_field = object.__setattr__
 
 
 class Frozen:
-    # the cached hash, unset until the first hash
-    __slots__ = ("_hash",)
+    __slots__ = ()
     __match_args__ = ()
     # the field tuple of a value, set for each class from its fields
     _fields = staticmethod(lambda value: ())
@@ -53,12 +50,7 @@ class Frozen:
         return fields(self) == fields(other)
 
     def __hash__(self):
-        # an unset slot reads as None here, with no try/except
-        value = getattr(self, "_hash", None)
-        if value is None:
-            value = hash(self._fields(self))
-            set_field(self, "_hash", value)
-        return value
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -74,5 +66,5 @@ class Frozen:
 
     def __reduce__(self):
         # rebuilt by the constructor from the fields alone, so no cache
-        # travels: str hashes are salted per process
+        # travels
         return self.__class__, self._fields(self)

@@ -126,7 +126,7 @@ class _IntegerSum:
         return bool(self._num)
 
     def __neg__(self):
-        return self * -1
+        return self._like(self._L, self._D, {key: -c for key, c in self._num.items()})
 
     def __mul__(self, scalar):
         scalar = as_fraction(scalar)

@@ -1,22 +1,23 @@
 """Finite-window analysis of the intermediate-series modules.
 
 A window is a symmetric slice {n*a : |n| <= bound} of a cyclic index
-group.  Within a window the engine computes exact submodule closures as
-the basis lines reachable from the seeds, scans for reducibility,
-decomposes restrictions into cosets, checks shift intertwiners, recovers
-module parameters from abstract action tables, and aligns rescaled
-bases.  Action tables are keyed by ints: the entry (r, g, n) -> (m,
-(num, den)) says that d(g*step) (r = 0) or I(g*step) (r = 1) sends the
-basis vector at n*step to num/den times the one at m*step, with the
-coefficient a reduced integer pair, den > 0.  ``BasisKey`` and
-``Fraction`` appear only at the edges: in a table's input and its
-``entries``, and in printed names and messages.  Every integer
-evaluation of the d-action, in the scan's reachability, the table
-builder, the intertwiner check and recovery, calls ``d_coefficient`` on
-the integer form of :func:`hvir.intermediate._integer_action`.  Table
-builders walk (source, target) pairs of window positions, and the
-series table computes the coefficient at source 0 of each of the 4B+1
-steps once.
+group: a ``Window``, defined in ``hvir.groups`` beside its cap
+``MAX_WINDOW_BOUND`` and exported here.  Within a window the engine
+computes exact submodule closures as the basis lines reachable from the
+seeds, scans for reducibility, decomposes restrictions into cosets,
+checks shift intertwiners, recovers module parameters from abstract
+action tables, and aligns rescaled bases.  Action tables are keyed by
+ints: the entry (r, g, n) -> (m, (num, den)) says that d(g*step) (r = 0)
+or I(g*step) (r = 1) sends the basis vector at n*step to num/den times
+the one at m*step, with the coefficient a reduced integer pair, den > 0.
+``BasisKey`` and ``Fraction`` appear only at the edges: in a table's
+input and its ``entries``, and in printed names and messages.  Every
+integer evaluation of the d-action, in the scan's reachability, the
+table builder, the intertwiner check and recovery, calls
+``d_coefficient`` on the integer form of
+:func:`hvir.intermediate._integer_action`.  Table builders walk (source,
+target) pairs of window positions, and the series table computes the
+coefficient at source 0 of each of the 4B+1 steps once.
 Recovery first grades every entry as m - n == g and names the ungraded
 entry that comes first in printed order, then sorts the entries in one
 pass and compares each once, as an edge of a scale chain of integer
@@ -41,7 +42,6 @@ from functools import cache
 from itertools import chain, product
 from math import gcd, isqrt
 
-from ._frozen import Frozen, set_field
 from .algebra import _KINDS, _RANK, CENTERLESS, BasisKey, I, RescalingMap, apply_phi, d
 from .errors import (
     AmbiguousTableError,
@@ -51,8 +51,8 @@ from .errors import (
     NotIntermediateSeriesError,
     SubalgebraError,
 )
-from .groups import (INTEGERS, Cyclic, Trivial, _multiple, _reduced, _require_count,
-                     as_fraction, contains, is_subgroup)
+from .groups import (INTEGERS, MAX_WINDOW_BOUND, Cyclic, Trivial, Window, _multiple, _reduced,
+                     _require_count, as_fraction, contains, is_subgroup)
 from .intermediate import (
     Classification,
     ModuleParams,
@@ -83,66 +83,12 @@ __all__ = [
 ]
 
 
-# Largest accepted window bound.  A scan here takes 6-31 ms (the most at
-# beta = 1/2, where every row misses a different target) and a closure
-# 2-8 ms, on a 2-vCPU host under Python 3.11: each distinct adjacency row
-# is expanded once, and an expansion stops when the whole window is
-# reached.
-MAX_WINDOW_BOUND = 2048
-
 # Largest window bound of a built action table.  The table builders do
 # O(B^2) work and make O(B^2) entries: at B = 64 a transported table
 # takes about 0.7 s and 12 MB, a quarter of its cost at B = 128, on a
 # 2-vCPU host under Python 3.11.  Tables read from text are bounded by
 # their input instead.
 MAX_TABLE_BOUND = 64
-
-
-class Window(Frozen):
-    """The finite index set {n*step : |n| <= bound} of a cyclic group."""
-
-    __slots__ = ("group", "bound")
-
-    def __init__(self, group, bound):
-        if not isinstance(group, Cyclic):
-            raise ValueError("windows require a cyclic index group, got %s" % group)
-        _require_count(bound, 1, MAX_WINDOW_BOUND, "window bound")
-        set_field(self, "group", group)
-        set_field(self, "bound", bound)
-
-    @property
-    def step(self):
-        return self.group.generator
-
-    @property
-    def size(self):
-        return 2 * self.bound + 1
-
-    def indices(self):
-        return self._multiples(self.bound)
-
-    def __contains__(self, q):
-        n = self._position(q)
-        return isinstance(n, int) and abs(n) <= self.bound
-
-    def _position(self, q):
-        """The position q/step: the int n with q == n*step, and otherwise
-        the non-integer Fraction q/step, so equal indices share one."""
-        q = as_fraction(q)
-        n = _multiple(q, self.step)
-        return q / self.step if n is None else n
-
-    def steps(self):
-        """Every generator index that can connect two window indices."""
-        return self._multiples(2 * self.bound)
-
-    def _multiples(self, reach):
-        """n*step for |n| <= reach; Fraction(n*num, den) costs less than n*step."""
-        num, den = self.step.numerator, self.step.denominator
-        return [Fraction(n * num, den) for n in range(-reach, reach + 1)]
-
-    def __str__(self):
-        return "%s:%d" % (self.group, self.bound)
 
 
 class Subspace:

@@ -6,8 +6,9 @@ a JSON report whose keys appear in a fixed documented order (params,
 window, verdict, dimensions, basisIndices, cosets, then verb-specific
 extras).  All outputs are deterministic: identical invocations print
 identical bytes, and the CLI keeps no state between runs.  Only the
-window verbs import ``hvir.analysis``, inside their handlers, so the
-other verbs do not compile it at start-up.
+verbs that run the engine, closure, scan, restrict and recover, import
+``hvir.analysis``, inside their handlers, so the others, jacobi's
+``--window`` included, do not compile it at start-up.
 
 Errors are reported as ``error[<code>]: <message>`` on stderr with exit
 status 1; usage errors exit with status 2.  A stdout closed by its
@@ -38,6 +39,7 @@ from .algebra import (
     jacobiator,
 )
 from .errors import HvirError
+from .groups import Window
 from .intermediate import _rescaling_power, act, basis_vector, classify, iso_check
 from .parsing import (parse_element, parse_group, parse_integer, parse_natural, parse_params,
                       parse_qk_window, parse_rational, parse_table)
@@ -186,8 +188,6 @@ def _cmd_phi(args):
 
 
 def _window(params, text):
-    from .analysis import Window
-
     return Window(params.group, parse_natural(text, "window bound"))
 
 

@@ -14,8 +14,9 @@ The single token ``0`` denotes the zero element.  Group specs: ``0``,
 Module parameters: ``alpha,beta,F@<groupspec>``.  Every integer of the
 input, the CLI's integer options included, is a run of at most
 ``groups.MAX_DIGITS`` ASCII digits read by ``_Scanner.digits``.
-The functions that build windows and tables import ``hvir.analysis``
-when they run, so the other grammars do not load it.
+Windows come from ``hvir.groups``; the functions that read and print
+tables import ``hvir.analysis`` when they run, so the other grammars do
+not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import inf
 
 from .algebra import AlgebraElement, BasisKey
 from .errors import ParseError
-from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, _reduced, cyclic, qk, supernatural
+from .groups import FULL_Q, MAX_DIGITS, TRIVIAL, Cyclic, Window, _reduced, cyclic, qk, supernatural
 from .intermediate import ModuleParams
 
 __all__ = [
@@ -246,8 +247,6 @@ def parse_group(text):
 
 def parse_qk_window(text):
     """Parse ``<k>:<bound>`` into the window of that bound over qk:<k>."""
-    from .analysis import Window
-
     s = _Scanner(text)
     s.skip_ws()
     k = s.digits()
@@ -284,7 +283,7 @@ def parse_table(text):
     integer pair (num, den) once; the entries are checked by the one
     check of ``ActionTable``.
     """
-    from .analysis import ActionTable, Window, _checked_entries, _generator, _generator_key
+    from .analysis import ActionTable, _checked_entries, _generator, _generator_key
 
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]

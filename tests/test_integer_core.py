@@ -28,7 +28,7 @@ from hvir import (
     qk,
     supernatural,
 )
-from hvir import intermediate
+from hvir import algebra, intermediate
 from hvir.intermediate import _integer_action, d_coefficient
 from helpers import (
     ReferenceSubspace,
@@ -316,6 +316,28 @@ class TestDirectResults:
                 a + b
             with pytest.raises(GroupMismatchError):
                 a - b
+
+    def test_negation_builds_no_fraction(self, monkeypatch):
+        # -v, -x and 0 - v flip the integer numerators; the scalar path
+        # v * -1 reads its scalar through algebra.as_fraction
+        params = ModuleParams(F(1, 3), F(2), F(1), cyclic(F(1, 6)))
+        zero = WeightVector(params)
+        vectors = [zero, WeightVector(params, {F(1, 3): F(3, 4)}),
+                   WeightVector(params, {F(-1, 2): F(1, 6), 1: F(-5, 2), F(5, 6): 7})]
+        elements = [AlgebraElement(), AlgebraElement({d(F(1, 2)): F(2, 3)}),
+                    AlgebraElement({I(-3): F(-1, 4), d(F(1, 6)): 2, CD: F(5, 6)})]
+        expected = [u * -1 for u in vectors + elements]
+
+        def as_fraction(value):
+            raise AssertionError("a Fraction was built from %r" % (value,))
+
+        monkeypatch.setattr(algebra, "as_fraction", as_fraction)
+        for u, negated in zip(vectors + elements, expected):
+            for result in [-u] + ([zero - u] if isinstance(u, WeightVector) else []):
+                assert result.__class__ is negated.__class__
+                assert (result._L, result._D, result._num) == \
+                    (negated._L, negated._D, negated._num)
+                assert list(result._num) == sorted(result._num)
 
     def test_checks_run_before_the_direct_results(self):
         # the params check and the membership test come first, also where

@@ -3,10 +3,9 @@
 Each class is compared with its dataclass oracle from ``helpers`` on
 drawn field values: construction (positional, keyword, defaults),
 validation errors, ``==``, ``hash``, ``repr``, ``str``, immutability and
-``pickle``/``copy.deepcopy`` round trips, and every value caches its
-hash.  A start-up test checks that importing the CLI loads neither
-``dataclasses`` nor ``inspect``, nor ``json``, which only structured
-output needs.
+``pickle``/``copy.deepcopy`` round trips.  A start-up test checks that
+importing the CLI loads neither ``dataclasses`` nor ``inspect``, nor
+``json``, which only structured output needs.
 """
 
 import copy
@@ -17,7 +16,6 @@ import sys
 from fractions import Fraction
 from math import inf
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvir import (
@@ -186,29 +184,6 @@ def test_defaults_match_the_oracle(name, data):
         assert hash(value) == hash(reference)
 
 
-# valid constructor arguments for each class in CASES
-VALID_ARGUMENTS = {
-    "Trivial": (),
-    "FullQ": (),
-    "Cyclic": (Fraction(2, 3),),
-    "Supernatural": (((3, 2), (5, inf)),),
-    "BasisKey": ("d", Fraction(-1, 2)),
-    "RescalingMap": (3, CENTERLESS),
-    "ModuleParams": (Fraction(1, 7), 1, 0, qk(0)),
-    "Classification": ("Irreducible", "note"),
-    "IndexPredicate": ("nonzero",),
-    "Window": (qk(1), 4),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_every_value_caches_its_hash(name):
-    value = CASES[name][0](*VALID_ARGUMENTS[name])
-    assert getattr(value, "_hash", None) is None
-    first = hash(value)
-    assert value._hash == first == hash(value)
-
-
 def test_the_integer_form_is_not_a_field():
     # ModuleParams keeps the unit-step integer form of its d-action and the
     # integers of f in the slot _ints, filled by its constructor, and act
@@ -228,7 +203,6 @@ def test_the_integer_form_is_not_a_field():
     for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
         back = round_trip(params)
         assert back.__class__ is ModuleParams
-        assert getattr(back, "_hash", None) is None
         assert back == fresh and hash(back) == before and repr(back) == repr(fresh)
         # the constructor fills the cache again
         assert back._ints == fresh._ints
@@ -237,7 +211,7 @@ def test_the_integer_form_is_not_a_field():
 
 
 def test_pickled_hash_is_recomputed_in_another_process():
-    # str hashes are salted per process, so a cached hash must not travel
+    # str hashes are salted per process, so the reading process hashes anew
     key = BasisKey("CD")
     hash(key)
     script = ("import pickle, sys; key = pickle.loads(sys.stdin.buffer.read()); "
@@ -245,6 +219,17 @@ def test_pickled_hash_is_recomputed_in_another_process():
     out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(key),
                          capture_output=True, check=True)
     assert out.stdout.strip() == b"True"
+
+
+def test_a_window_pickled_under_hvir_analysis_still_loads():
+    # pickle.dumps(Window(cyclic(1/2), 3), protocol=0) as written while
+    # Window was defined in hvir.analysis, which still exports it
+    old = (b"chvir.analysis\nWindow\np0\n(chvir.groups\nCyclic\np1\n(cfractions\nFraction\n"
+           b"p2\n(I1\nI2\ntp3\nRp4\ntp5\nRp6\nI3\ntp7\nRp8\n.")
+    window = pickle.loads(old)
+    assert window.__class__ is Window and Window.__module__ == "hvir.groups"
+    assert window == Window(cyclic(Fraction(1, 2)), 3)
+    assert repr(window) == "Window(group=Cyclic(generator=Fraction(1, 2)), bound=3)"
 
 
 def test_cli_start_loads_neither_dataclasses_nor_inspect():
