@@ -22,8 +22,8 @@ from .parsing import *
 
 __version__ = "0.1.0"
 
-# a copy of analysis.__all__, for __all__, __getattr__ and __dir__ to name
-# before analysis loads; tests/test_public_names.py checks the two agree
+# the names of analysis, listed here for __all__, __getattr__ and __dir__
+# to name before analysis loads; analysis.__all__ is built from this list
 _ANALYSIS_NAMES = (
     "Window",
     "Subspace",

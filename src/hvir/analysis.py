@@ -42,6 +42,7 @@ from functools import cache
 from itertools import chain, product
 from math import gcd, isqrt
 
+from . import _ANALYSIS_NAMES
 from .algebra import _KINDS, _RANK, CENTERLESS, BasisKey, I, RescalingMap, apply_phi, d
 from .errors import (
     AmbiguousTableError,
@@ -67,20 +68,7 @@ from .intermediate import (
     d_coefficient,
 )
 
-__all__ = [
-    "Window",
-    "Subspace",
-    "ActionTable",
-    "intermediate_series_table",
-    "transported_table",
-    "closure",
-    "reducibility_scan",
-    "scan_details",
-    "restriction_report",
-    "intertwiner_check",
-    "recover_params",
-    "align_extension",
-]
+__all__ = list(_ANALYSIS_NAMES)
 
 
 # Largest window bound of a built action table.  The table builders do
@@ -408,8 +396,8 @@ class ActionTable:
     non-integer ``Fraction`` position g, as a source does in
     :meth:`Window._position`.  ``BasisKey``s and ``Fraction`` indices
     and coefficients appear only at the edges: in the input to
-    ``ActionTable(window, entries)``, where each distinct generator is
-    converted once, in ``entries``, and in printed names and messages.
+    ``ActionTable(window, entries)``, which converts each entry's
+    generator, in ``entries``, and in printed names and messages.
     Each coefficient keeps its own denominator: a common one would make
     every entry as long as the product of all of them.
 
@@ -424,10 +412,9 @@ class ActionTable:
         if not isinstance(window, Window):
             raise TypeError("expected a Window")
         at = window._position
-        generators = cache(lambda key: _generator(window, key))
         self.window = window
         self._entries = _checked_entries(window, (
-            ((*generators(key), at(src)), (at(tgt), as_fraction(coeff).as_integer_ratio()))
+            ((*_generator(window, key), at(src)), (at(tgt), as_fraction(coeff).as_integer_ratio()))
             for (key, src), (tgt, coeff) in dict(entries).items()
         ))
 

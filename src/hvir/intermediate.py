@@ -190,21 +190,18 @@ class WeightVector(_IntegerSum):
             return self
         if not self._num:
             return other if sign == 1 else -other
-        L, D = self._L, self._D
-        merged = dict(self._num)
-        if other._L == L and other._D == D:
-            terms = other._num.items()
-        else:
-            # bring both to the common denominators lcm(L) and lcm(D)
-            L, D = lcm(L, other._L), lcm(D, other._D)
-            ks, cs = L // self._L, D // self._D
-            if ks != 1 or cs != 1:
-                merged = {k * ks: c * cs for k, c in merged.items()}
-            ks, cs = L // other._L, D // other._D
-            terms = [(k * ks, c * cs) for k, c in other._num.items()]
-        for k, c in terms:
-            merged[k] = merged.get(k, 0) + sign * c
-        return WeightVector._canonical(self.params, L, D, merged)
+        # sum both at the common denominators lcm(L) and lcm(D); a loop
+        # fills acc, since a comprehension costs a call under Python 3.11
+        L, D = lcm(self._L, other._L), lcm(self._D, other._D)
+        ks, cs = L // self._L, D // self._D
+        acc = {}
+        for k, c in self._num.items():
+            acc[k * ks] = c * cs
+        ks, cs = L // other._L, sign * (D // other._D)
+        for k, c in other._num.items():
+            k *= ks
+            acc[k] = acc.get(k, 0) + c * cs
+        return WeightVector._canonical(self.params, L, D, acc)
 
     def __add__(self, other):
         return self._combine(other, 1, "add")

@@ -23,12 +23,15 @@ from hvir import (
     NonConstantScalingError,
     RescalingMap,
     WeightVector,
+    Window,
     ZERO,
     apply_phi,
     align_extension,
     basis_vector,
     bracket,
+    closure,
     d,
+    intermediate_series_table,
     jacobiator,
     qk,
     weight_components,
@@ -279,3 +282,33 @@ class TestAlignExtension:
         candidate = {F(n): basis_vector(params_f, n) * F(5, 2) for n in range(4)}
         aligned = align_extension(reference, candidate)
         assert aligned == {F(n): basis_vector(params_f, n) for n in range(4)}
+
+
+# v(1) over Z with alpha = 0, beta = 1 spans every line but v(0)
+unit = ModuleParams(0, 1, 0, qk(0))
+span = closure(unit, Window(qk(0), 2), [basis_vector(unit, 1)])
+
+
+@pytest.mark.parametrize("fn, expected", [
+    (lambda: AlgebraElement([(d(1), 1)]) == object(), False),
+    (lambda: basis_vector(unit, 1) == object(), False),
+    (lambda: span == object(), False),
+    (lambda: intermediate_series_table(unit, Window(qk(0), 1)) == object(), False),
+    (lambda: AlgebraElement([(d(1), 1)]) + 1, TypeError),
+    (lambda: AlgebraElement([(d(1), 1)]) - 1, TypeError),
+    (lambda: basis_vector(unit, 1) + 1, TypeError),
+    (lambda: basis_vector(unit, 1) - 1, TypeError),
+    (lambda: repr(basis_vector(unit, 1)), "WeightVector(v(1) | 0,1,0@cyclic:1)"),
+    (lambda: repr(span),
+     "Subspace(dim=4, pivots=[Fraction(-2, 1), Fraction(-1, 1), Fraction(1, 1), Fraction(2, 1)])"),
+], ids=["element-eq", "vector-eq", "subspace-eq", "table-eq", "element-add", "element-sub",
+        "vector-add", "vector-sub", "vector-repr", "subspace-repr"])
+def test_foreign_operands_and_reprs(fn, expected):
+    # a foreign operand gets NotImplemented, so == falls back to identity
+    # and + and - raise TypeError
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            fn()
+    else:
+        got = fn()
+        assert got == expected and type(got) is type(expected)

@@ -164,8 +164,8 @@ def test_value_class_matches_its_dataclass_oracle(case):
     for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
         back = round_trip(value)
         assert back.__class__ is cls
-        # a cached hash is not carried over: it is computed afresh
-        assert getattr(back, "_hash", None) is None
+        # the copy is a slots value too: it gains no instance dict
+        assert not hasattr(back, "__dict__")
         assert back == value and hash(back) == hash(value)
         assert repr(back) == repr(value)
         assert round_trip(reference) == reference
