@@ -12,9 +12,10 @@ each ``hash``.  ``repr`` reads like a dataclass's,
 ``Cyclic(generator=Fraction(1, 2))``.
 
 One rule covers the slots that are not fields: a slot whose name begins
-with an underscore, such as ``ModuleParams._ints``, caches something the
-fields determine.  The constructor fills it, and it takes no part in
-``__match_args__``, ``==``, ``hash``, ``repr`` or pickling.
+with an underscore, such as ``ModuleParams._ints`` or ``Window._indices``,
+caches something the fields determine.  The constructor fills it, and it
+takes no part in ``__match_args__``, ``==``, ``hash``, ``repr`` or
+pickling.
 """
 
 from operator import attrgetter

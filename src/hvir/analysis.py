@@ -261,7 +261,10 @@ def scan_details(params, window):
     exists: that of the first seed whose closure is one line, else of the
     first whose closure misses one line.  Each closure is the set of basis
     lines reachable from the seed (see :func:`closure`); the window's
-    reachability is built once and shared by all seeds.
+    reachability is built once and shared by all seeds.  ``dims`` is
+    built from the window's stored indices, so a scan constructs no
+    ``Fraction`` and hashes only the indices whose closure dimension is
+    not the most frequent one.
     """
     if window.bound < 2:
         raise ValueError("scan windows need bound >= 2 to distinguish verdicts")
@@ -278,7 +281,12 @@ def scan_details(params, window):
             reaches[row] = _reach(adjacency, row)
         masks.append(reaches[row] | 1 << i)
     sizes = list(map(int.bit_count, masks))
-    dims = dict(zip(indices, sizes))
+    # dict.fromkeys over a dict reuses its stored hashes
+    common = max(set(sizes), key=sizes.count)
+    dims = dict.fromkeys(window._indices, common)
+    for q, dim in zip(indices, sizes):
+        if dim != common:
+            dims[q] = dim
     for verdict, dim, wording in (
         (VERDICT_TRIVIAL_SUB, 1, "stays one-dimensional inside"),
         (VERDICT_CODIM_ONE, size - 1, "spans all but one basis line of"),

@@ -445,18 +445,24 @@ def _reduced(num, den):
     return num // g, den // g
 
 
-# Largest accepted window bound.  A scan here takes 6-31 ms (the most at
-# beta = 1/2, where every row misses a different target) and a closure
-# 2-8 ms, on a 2-vCPU host under Python 3.11: each distinct adjacency row
-# is expanded once, and an expansion stops when the whole window is
-# reached.
+# Largest accepted window bound.  Here building a Window (its 4097
+# indices) takes about 4 ms, a scan 5-38 ms (the most at beta = 1/2, where
+# every row misses a different target) and a closure 5-10 ms, on a 2-vCPU
+# host under Python 3.11: each distinct adjacency row is expanded once,
+# and an expansion stops when the whole window is reached.
 MAX_WINDOW_BOUND = 2048
 
 
 class Window(Frozen):
-    """The finite index set {n*step : |n| <= bound} of a cyclic group."""
+    """The finite index set {n*step : |n| <= bound} of a cyclic group.
 
-    __slots__ = ("group", "bound")
+    The constructor also fills ``_indices``, the indices in window order
+    as the keys of a dict, which keeps each Fraction's hash: a scan builds
+    its ``dims`` from it with ``dict.fromkeys`` and so builds no index and
+    hashes at most one.  ``indices()`` returns a fresh list of them.
+    """
+
+    __slots__ = ("group", "bound", "_indices")
 
     def __init__(self, group, bound):
         if not isinstance(group, Cyclic):
@@ -464,6 +470,7 @@ class Window(Frozen):
         _require_count(bound, 1, MAX_WINDOW_BOUND, "window bound")
         set_field(self, "group", group)
         set_field(self, "bound", bound)
+        set_field(self, "_indices", dict.fromkeys(self._multiples(bound)))
 
     @property
     def step(self):
@@ -474,7 +481,7 @@ class Window(Frozen):
         return 2 * self.bound + 1
 
     def indices(self):
-        return self._multiples(self.bound)
+        return list(self._indices)
 
     def __contains__(self, q):
         n = self._position(q)

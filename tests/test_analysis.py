@@ -41,6 +41,7 @@ from hvir import (
     supernatural,
     transported_table,
 )
+import hvir.groups
 from hvir import analysis
 from hvir.analysis import MAX_TABLE_BOUND, MAX_WINDOW_BOUND, _adjacency
 from helpers import (
@@ -274,6 +275,85 @@ class TestScan:
         for p in points:
             _, dims, _ = scan_details(p, w)
             assert set(dims.values()) == {w.size}
+
+
+class _FractionGuard(type):
+    def __instancecheck__(cls, value):
+        return isinstance(value, Fraction)
+
+    def __call__(cls, *args):
+        raise AssertionError("built a Fraction")
+
+
+class _Unbuildable(metaclass=_FractionGuard):
+    """Stands in for ``Fraction`` in ``hvir.groups``: isinstance checks
+    still pass, and building one fails."""
+
+
+# one point of each verdict on each group
+VERDICT_POINTS = [
+    (ModuleParams(F(1, 3), F(1, 2), F(0), Z), VERDICT_IRREDUCIBLE),
+    (ModuleParams(F(0), F(1), F(0), Z), VERDICT_CODIM_ONE),
+    (ModuleParams(F(0), F(0), F(0), Z), VERDICT_TRIVIAL_SUB),
+    (ModuleParams(F(0), F(0), F(1), cyclic(F(1, 2))), VERDICT_IRREDUCIBLE),
+    (ModuleParams(F(1, 2), F(1), F(0), cyclic(F(1, 2))), VERDICT_CODIM_ONE),
+    (ModuleParams(F(-1, 6), F(0), F(0), cyclic(F(1, 6))), VERDICT_TRIVIAL_SUB),
+]
+
+
+class TestScanOnABuiltWindow:
+    """A window stores its indices with their hashes when it is built, so
+    a scan on it neither builds a Fraction nor hashes more than one."""
+
+    def test_no_fraction_is_built(self, monkeypatch):
+        for params, verdict in VERDICT_POINTS:
+            w = Window(params.group, 5)
+            expected = [n * w.step for n in range(-5, 6)]
+            with monkeypatch.context() as patch:
+                patch.setattr(hvir.groups, "Fraction", _Unbuildable)
+                indices = w.indices()
+                classification, dims, _ = scan_details(params, w)
+            assert indices == expected and list(dims) == expected
+            assert classification.verdict == verdict
+
+    @pytest.mark.parametrize("params, verdict", VERDICT_POINTS)
+    def test_at_most_one_index_is_hashed(self, monkeypatch, params, verdict):
+        w = Window(params.group, 6)
+        hashed = []
+        plain_hash = Fraction.__hash__
+
+        def counting_hash(q):
+            hashed.append(q)
+            return plain_hash(q)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__hash__", counting_hash)
+            classification, dims, _ = scan_details(params, w)
+        assert classification.verdict == verdict
+        # a reducible window has one seed whose closure dimension differs
+        # from all the others', and only its index is hashed
+        assert len(hashed) == (0 if verdict == VERDICT_IRREDUCIBLE else 1)
+        assert list(dims) == w.indices()
+
+    def test_one_window_scans_a_sweep_as_fresh_ones_do(self):
+        # the oracles draw a fresh window per example; here each group's
+        # one window is scanned again and again, and must answer as a
+        # fresh window does every time
+        values = (F(0), F(1, 2), F(1), F(-1, 6), F(1, 3))
+        for group in (Z, cyclic(F(1, 2)), cyclic(F(1, 6))):
+            w = Window(group, 3)
+            verdicts = set()
+            for alpha in values:
+                for beta in (F(0), F(1), F(2, 3)):
+                    for f in (F(0), F(1)):
+                        params = ModuleParams(alpha, beta, f, group)
+                        classification, dims, proper = scan_details(params, w)
+                        fresh = Window(group, 3)
+                        assert (classification.verdict, dims, proper) == \
+                            reference_scan(params, fresh)
+                        assert list(dims) == fresh.indices() == w.indices()
+                        verdicts.add(classification.verdict)
+            assert verdicts == {VERDICT_IRREDUCIBLE, VERDICT_CODIM_ONE, VERDICT_TRIVIAL_SUB}
 
 
 class TestRestriction:

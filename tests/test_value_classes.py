@@ -210,6 +210,36 @@ def test_the_integer_form_is_not_a_field():
             act(fresh, d(Fraction(1, 2)), basis_vector(fresh, 1))
 
 
+def test_window_indices_are_not_a_field():
+    # Window keeps its indices, in window order, as the keys of the dict in
+    # the slot _indices, filled by its constructor, and scans read it;
+    # being no field, the slot leaves ==, hash, repr, pattern matching and
+    # pickling as they were
+    window = Window(cyclic(Fraction(1, 2)), 3)
+    fresh = Window(cyclic(Fraction(1, 2)), 3)
+    expected = [Fraction(n, 2) for n in range(-3, 4)]
+    assert window == fresh and hash(window) == hash(fresh) == hash((window.group, 3))
+    assert repr(window) == repr(fresh) == "Window(group=Cyclic(generator=Fraction(1, 2)), bound=3)"
+    assert Window.__match_args__ == ("group", "bound")
+    assert list(window._indices) == expected
+    # the pickled state is the two fields alone
+    assert window.__reduce__() == (Window, (window.group, 3))
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        back = round_trip(window)
+        assert back.__class__ is Window
+        assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
+        # the constructor fills the cache again
+        assert back._indices is not window._indices
+        assert list(back._indices) == expected and back.indices() == expected
+    # indices() hands out a new list each time, so changing one leaves the
+    # cache as it was
+    listed = window.indices()
+    listed[0] = Fraction(9)
+    listed.append(Fraction(2))
+    assert window.indices() == expected and window.indices() is not window.indices()
+    assert list(window._indices) == expected
+
+
 def test_pickled_hash_is_recomputed_in_another_process():
     # str hashes are salted per process, so the reading process hashes anew
     key = BasisKey("CD")
