@@ -262,9 +262,11 @@ def scan_details(params, window):
     first whose closure misses one line.  Each closure is the set of basis
     lines reachable from the seed (see :func:`closure`); the window's
     reachability is built once and shared by all seeds.  ``dims`` is
-    built from the window's stored indices, so a scan constructs no
-    ``Fraction`` and hashes only the indices whose closure dimension is
-    not the most frequent one.
+    built from the indices the window stored when it was built (see
+    ``Window._tabulate``), so a scan constructs no ``Fraction`` and hashes
+    only the indices whose closure dimension is not the most frequent
+    one.  Only a window scanned more than once gains from this: building
+    the window does that index work once.
     """
     if window.bound < 2:
         raise ValueError("scan windows need bound >= 2 to distinguish verdicts")
@@ -281,12 +283,7 @@ def scan_details(params, window):
             reaches[row] = _reach(adjacency, row)
         masks.append(reaches[row] | 1 << i)
     sizes = list(map(int.bit_count, masks))
-    # dict.fromkeys over a dict reuses its stored hashes
-    common = max(set(sizes), key=sizes.count)
-    dims = dict.fromkeys(window._indices, common)
-    for q, dim in zip(indices, sizes):
-        if dim != common:
-            dims[q] = dim
+    dims = window._tabulate(sizes)
     for verdict, dim, wording in (
         (VERDICT_TRIVIAL_SUB, 1, "stays one-dimensional inside"),
         (VERDICT_CODIM_ONE, size - 1, "spans all but one basis line of"),

@@ -457,9 +457,12 @@ class Window(Frozen):
     """The finite index set {n*step : |n| <= bound} of a cyclic group.
 
     The constructor also fills ``_indices``, the indices in window order
-    as the keys of a dict, which keeps each Fraction's hash: a scan builds
-    its ``dims`` from it with ``dict.fromkeys`` and so builds no index and
-    hashes at most one.  ``indices()`` returns a fresh list of them.
+    as the keys of a dict, which keeps each Fraction's hash; building a
+    window thus builds and hashes its 2B+1 indices, which only pays off
+    for a window indexed more than once.  ``indices()`` returns a fresh
+    list of them, and ``_tabulate``, with which a scan builds its
+    ``dims``, builds no index and hashes at most the few whose value is
+    not the most frequent.
     """
 
     __slots__ = ("group", "bound", "_indices")
@@ -482,6 +485,19 @@ class Window(Frozen):
 
     def indices(self):
         return list(self._indices)
+
+    def _tabulate(self, values):
+        """Map each index, in window order, to the item of the list
+        ``values`` at its position.  The dict starts as ``dict.fromkeys``
+        of the stored indices at the most frequent value, which on CPython
+        reuses their stored hashes; only the indices whose value differs
+        are hashed again."""
+        common = max(set(values), key=values.count)
+        table = dict.fromkeys(self._indices, common)
+        for q, value in zip(self._indices, values):
+            if value != common:
+                table[q] = value
+        return table
 
     def __contains__(self, q):
         n = self._position(q)

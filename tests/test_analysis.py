@@ -355,6 +355,14 @@ class TestScanOnABuiltWindow:
                         verdicts.add(classification.verdict)
             assert verdicts == {VERDICT_IRREDUCIBLE, VERDICT_CODIM_ONE, VERDICT_TRIVIAL_SUB}
 
+    def test_tabulate_matches_a_zip(self):
+        # any mix of values, ties for the most frequent one included
+        w = Window(cyclic(F(1, 6)), 3)
+        for values in ([1] * 7, [5, 1, 1, 2, 1, 1, 5], [3, 3, 4, 4, 5, 6, 7], list(range(7))):
+            table = w._tabulate(values)
+            assert table == dict(zip(w.indices(), values))
+            assert list(table) == w.indices()
+
 
 class TestRestriction:
     def test_halves_over_integers(self):
