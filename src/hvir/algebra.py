@@ -150,8 +150,9 @@ class AlgebraElement(_IntegerSum):
     constructor's input, ``terms``, ``coefficient`` and ``str``.
     """
 
-    # _gens: the lazy generators below; _group: the last group object
-    # found to hold all of the d and I indices (act's membership memo)
+    # _gens: the lazy generator list below; _group: the last group object
+    # found to hold all of the d and I indices (act's membership memo),
+    # which bracket passes on when both operands hold that one object
     __slots__ = ("_gens", "_group")
 
     def __init__(self, terms=()):
@@ -193,12 +194,15 @@ class AlgebraElement(_IntegerSum):
         self._L, self._D, self._num, self._gens, self._group = L, D, num, None, None
 
     def _generators(self):
-        """``(gcd(k)/L, [(r, k, c) for each d and I term])``, made once: a
-        subgroup holds all the indices k/L exactly when it holds gcd(k)/L."""
+        """``[(r, k, c) for each d and I term]``, made once."""
         if self._gens is None:
-            gens = [(r, k, c) for (r, k), c in self._num.items() if r < 2]
-            self._gens = Fraction(gcd(*(k for _, k, _ in gens)), self._L), gens
+            self._gens = [(r, k, c) for (r, k), c in self._num.items() if r < 2]
         return self._gens
+
+    def _span(self):
+        """gcd(k)/L over the d and I indices k/L, built per call: a subgroup
+        holds all of them exactly when it holds this one."""
+        return Fraction(gcd(*(k for _, k, _ in self._generators())), self._L)
 
     @classmethod
     def basis(cls, key, coeff=1):
@@ -281,9 +285,9 @@ def bracket(x, y):
     T = 12 * L * L
     right = y._gens or y._generators()
     acc = {}
-    for r, a, cx in (x._gens or x._generators())[1]:
+    for r, a, cx in x._gens or x._generators():
         a *= sx
-        for s, h, c in right[1]:
+        for s, h, c in right:
             g, h, c = a, h * sy, c * cx
             if r > s:
                 g, h, c = h, g, -c
@@ -301,7 +305,11 @@ def bracket(x, y):
             if central and g == -h:
                 key = r + s + 2, 0
                 acc[key] = acc.get(key, 0) + c * central
-    return AlgebraElement._canonical(L, x._D * y._D * T * L, acc)
+    out = AlgebraElement._canonical(L, x._D * y._D * T * L, acc)
+    # a group that holds the indices g of x and h of y holds each g+h
+    if x._group is y._group:
+        out._group = x._group
+    return out
 
 
 def jacobiator(x, y, z):
@@ -330,7 +338,7 @@ def in_subalgebra(x, group):
     """
     if not isinstance(group, SubgroupSpec):
         raise TypeError("expected a subgroup spec, got %r" % (group,))
-    return contains(group, _as_element(x)._generators()[0])
+    return contains(group, _as_element(x)._span())
 
 
 CENTERLESS = "centerless"

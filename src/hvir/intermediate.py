@@ -21,8 +21,10 @@ fields.  Sums, differences, scalar multiples, equality and :func:`act`
 run on these integers; ``Fraction`` appears only at the boundary, in the
 constructor's input and in ``entries``, ``coefficient`` and ``str``.
 :func:`act` writes a zero or one-term result straight into its slots,
-reduced by one gcd pair, and a sum or difference with a zero operand
-returns the other operand (negated when it is subtracted).
+reduced by one gcd pair.  A sum or difference with a zero operand
+returns the other operand (negated when it is subtracted), and one of
+two one-term vectors at one index is summed at lcm(D) and written the
+same way, reduced by gcd(D, c) alone.
 The coefficient alpha + h + g*beta is evaluated only by :func:`d_coefficient`.
 """
 
@@ -190,6 +192,23 @@ class WeightVector(_IntegerSum):
             return self
         if not self._num:
             return other if sign == 1 else -other
+        a, b = self._num, other._num
+        if self._L == other._L and len(a) == 1 and a.keys() == b.keys():
+            # one term at one index k/L, k already coprime to L: summed at
+            # lcm(D), and canonical once gcd(D, c) is divided out, as act
+            # writes its one-term results
+            (k, c), = a.items()
+            D = lcm(self._D, other._D)
+            c = c * (D // self._D) + sign * (D // other._D) * b[k]
+            out = object.__new__(WeightVector)
+            out.params = self.params
+            if c:
+                g = gcd(D, c)
+                out._L, out._D, out._num = self._L, D // g, {k: c // g}
+            else:
+                out._L = out._D = 1
+                out._num = {}
+            return out
         # sum both at the common denominators lcm(L) and lcm(D); a loop
         # fills acc, since a comprehension costs a call under Python 3.11
         L, D = lcm(self._L, other._L), lcm(self._D, other._D)
@@ -264,7 +283,10 @@ def act(params, x, v):
     whose integer form is read off ``params`` once per ``ModuleParams``.
     One membership test covers all of the indices of ``x``, and it runs
     once per element per group object: ``x`` remembers the last group
-    that passed it, by identity, and any other group is tested in full.
+    that passed it, by identity, and any other group is tested in full,
+    on the one ``Fraction`` gcd(k)/L, built only then.  A bracket of two
+    elements that remember one group object remembers it too, since a
+    group holds g+h whenever it holds g and h.
 
     After those checks, the two commonest results skip the canonical-form
     pass.  An element with no d/I generator, or the zero vector, gives
@@ -279,9 +301,9 @@ def act(params, x, v):
     if v.params is not params and v.params != params:
         raise GroupMismatchError("vector belongs to %s, not %s" % (v.params, params))
     group = params.group
-    span, gens = x._gens or x._generators()
+    gens = x._gens or x._generators()
     if x._group is not group:
-        if span and not contains(group, span):
+        if gens and not contains(group, x._span()):
             raise SubalgebraError("element %s has indices outside the group %s" % (x, group))
         x._group = group
     source = v._num

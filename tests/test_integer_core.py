@@ -3,6 +3,7 @@
 
 import copy
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 import pytest
@@ -29,7 +30,7 @@ from hvir import (
     supernatural,
 )
 from hvir import algebra, intermediate
-from hvir.intermediate import _integer_action, d_coefficient
+from hvir.intermediate import _integer_action, _set_canonical, d_coefficient
 from helpers import (
     ReferenceSubspace,
     ReferenceVector,
@@ -208,19 +209,75 @@ class TestReusedElements:
         with pytest.raises(SubalgebraError):
             act(ints, x, u)
 
+    def test_bracket_keeps_a_shared_memo(self):
+        # x and y passed one group object, so their bracket starts out
+        # remembering it, and its act still matches the oracle
+        group = cyclic(F(1, 2))
+        params = ModuleParams(F(1, 3), F(2), F(5), group)
+        v, rv = WeightVector(params, {F(1, 2): 3}), ReferenceVector(params, {F(1, 2): 3})
+        x = AlgebraElement({d(F(1, 2)): 2, I(F(-3, 2)): F(1, 3), CD: 1})
+        y = AlgebraElement({d(-1): F(1, 4), I(F(1, 2)): 5})
+        act(params, x, v), act(params, y, v)
+        xy = bracket(x, y)
+        assert xy._group is group
+        assert_same(act(params, xy, v), reference_act(params, xy, rv))
+        # operands that remember equal but distinct group objects pass on none
+        twin = ModuleParams(F(1, 3), F(2), F(5), copy.deepcopy(group))
+        act(twin, y, WeightVector(twin, {1: 1}))
+        assert bracket(x, y)._group is None
+
+    def test_bracket_of_different_memos_is_tested_in_full(self):
+        # [d(1/2), d(1/3)] = -1/6 d(5/6) lies off 1/2 Z although d(1/2) passed it
+        half = ModuleParams(F(1, 3), F(1), F(2), cyclic(F(1, 2)))
+        third = ModuleParams(F(1, 5), F(1), F(2), cyclic(F(1, 3)))
+        x = AlgebraElement.basis(d(F(1, 2)))
+        act(half, x, WeightVector(half, {0: 1}))
+        for checked in (True, False):
+            y = AlgebraElement.basis(d(F(1, 3)))
+            if checked:
+                act(third, y, WeightVector(third, {0: 1}))
+            xy = bracket(x, y)
+            assert xy._group is None
+            with pytest.raises(SubalgebraError):
+                act(half, xy, WeightVector(half, {F(1, 2): 1}))
+
+    def test_a_shared_memo_and_a_one_term_difference_build_no_fraction(self, monkeypatch):
+        # the first act of a bracket of two group-checked elements runs no
+        # membership test, and a one-term difference at one index skips the
+        # canonical-form pass; here x.(y.v) and y.(x.v) are 45/8 v(0) and 45/4 v(0)
+        params = ModuleParams(F(1, 3), F(2), F(5), cyclic(F(1, 6)))
+        v, rv = WeightVector(params, {F(1, 3): F(3, 4)}), ReferenceVector(params, {F(1, 3): F(3, 4)})
+        x, y = AlgebraElement.basis(d(F(1, 6))), AlgebraElement.basis(I(F(-1, 2)), 3)
+        xyv, yxv = act(params, x, act(params, y, v)), act(params, y, act(params, x, v))
+        expected = WeightVector(params, reference_act(params, bracket(x, y), rv).entries)
+        assert expected == WeightVector(params, {0: F(-45, 8)})
+
+        def refuse(*args):
+            raise AssertionError("called with %r" % (args,))
+
+        monkeypatch.setattr(algebra, "Fraction", refuse)
+        monkeypatch.setattr(intermediate, "_set_canonical", refuse)
+        assert act(params, bracket(x, y), v) == expected
+        assert xyv - yxv == expected
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_pool_of_elements_over_several_modules(self, data):
         # one pool of elements, some off each group, acts on every module
         # in turn, twice over, and twice in a row as x.(y.v); each module
-        # also has a twin over an equal group object built afresh
-        pool = data.draw(st.lists(elements(any_indices(), 1), min_size=1, max_size=4))
+        # also has a twin over an equal group object built afresh.  Once
+        # the pool has acted on a module, its pairwise brackets join it
+        # there: they inherit the group object that both operands passed
+        base = data.draw(st.lists(elements(any_indices(), 1), min_size=1, max_size=4))
         modules = data.draw(st.lists(params_and_indices(), min_size=2, max_size=3))
         modules += [(ModuleParams(p.alpha, p.beta, p.f, copy.deepcopy(p.group)), indices)
                     for p, indices in modules]
         for params, indices in modules * 2:
             items = data.draw(entry_lists(indices))
             v, rv = WeightVector(params, items), ReferenceVector(params, items)
+            for y in base:
+                assert_same_outcome(params, y, v, reference_outcome(params, y, rv))
+            pool = base + [bracket(x, y) for x, y in combinations(base, 2)]
             for y in pool:
                 first = reference_outcome(params, y, rv)
                 assert_same_outcome(params, y, v, first)
@@ -353,6 +410,56 @@ class TestDirectResults:
         for v in (WeightVector(params), WeightVector(params, {1: 1})):
             with pytest.raises(SubalgebraError):
                 act(params, off, v)
+
+
+@st.composite
+def one_term_pairs(draw):
+    """Two one-term vectors of one module, at one index or, less often, at two."""
+    params, indices = draw(params_and_indices())
+    q = draw(indices)
+    r = draw(st.one_of(st.just(q), indices))
+    a, b = draw(small_fractions.filter(bool)), draw(small_fractions.filter(bool))
+    return params, [(q, a)], [(r, b)]
+
+
+class TestOneTermPairs:
+    """``u + w`` and ``u - w`` of one-term vectors at one index are summed
+    and reduced by gcd(D, c) straight into a new vector; any other pair
+    of nonzero vectors takes the merge loop and the canonical-form pass."""
+
+    @pytest.mark.parametrize("u, w", [
+        ({F(1, 2): F(3, 4)}, {F(1, 2): F(3, 4)}),  # u - w cancels to the zero vector
+        ({0: F(2, 3)}, {0: F(-5, 3)}),  # index 0, where L is 1
+        ({F(5, 6): F(1, 6)}, {F(5, 6): F(1, 4)}),  # different D
+        ({F(1, 3): F(1, 6)}, {F(1, 3): F(1, 6)}),  # u + w = 2/6: c shares 2 with D
+        ({F(-7, 6): 3}, {F(-7, 6): F(-9, 2)}),  # D of 1 and 2: the sum -3/2, the difference 15/2
+        ({F(1, 2): 1}, {F(1, 3): 1}),  # different indices and L
+        ({F(1, 6): F(1, 2)}, {F(5, 6): F(1, 2)}),  # equal L, different keys
+        ({F(1, 6): 1}, {F(1, 6): 1, F(1, 2): 1}),  # one index shared, two terms
+    ])
+    def test_against_the_reference(self, monkeypatch, u, w):
+        params = ModuleParams(F(1, 5), F(2), F(3), cyclic(F(1, 6)))
+        a, b = WeightVector(params, u), WeightVector(params, w)
+        ra, rb = ReferenceVector(params, u), ReferenceVector(params, w)
+        passes = []
+        monkeypatch.setattr(intermediate, "_set_canonical",
+                            lambda *args: passes.append(args) or _set_canonical(*args))
+        results = [a + b, a - b, b - a]
+        monkeypatch.undo()
+        one_index = len(u) == len(w) == 1 and u.keys() == w.keys()
+        assert len(passes) == (0 if one_index else 3)
+        for result, expected in zip(results, (ra + rb, ra - rb, rb - ra)):
+            assert_same(result, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_term_pairs())
+    def test_random_pairs(self, case):
+        params, u, w = case
+        a, b = WeightVector(params, u), WeightVector(params, w)
+        ra, rb = ReferenceVector(params, u), ReferenceVector(params, w)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert (a == b) == (ra == rb)
 
 
 class TestCoefficientHasOneHome:
